@@ -126,7 +126,7 @@ def run_theta_suite(order: int = 10, max_degree: int = 12) -> VerificationReport
                     flo = fukaya.floer_product(n1, p1, n2, p2, order)
                     the = theta.theta_mul(theta.ThetaElement.basis(n1, p1, order),
                                           theta.ThetaElement.basis(n2, p2, order))
-                    if any(flo.coeffs[pt] != the.coeffs[pt] for pt in flo.coeffs):
+                    if flo != the:
                         mismatches.append((str(p1), str(p2)))
             report.add(f"mirror-product-{n1}-{n2}", "floer-equals-section-product",
                        not mismatches,
@@ -360,14 +360,22 @@ def run_lie_suite(char: int = 0) -> VerificationReport:
     return report
 
 
+def _timed(suite, *args) -> VerificationReport:
+    """Run one suite and record its own wall-clock duration in the report."""
+    start = time.perf_counter()
+    report = suite(*args)
+    report.duration_seconds = round(time.perf_counter() - start, 3)
+    return report
+
+
 def run_all(order: int = 8) -> list:
     return [
-        run_lattice_suite(),
-        run_theta_suite(min(order + 2, 10)),
-        run_dehn_suite(),
-        run_mirror_suite(order),
-        *(run_hochschild_suite(c) for c in (0, 2, 3, 5)),
-        *(run_lie_suite(c) for c in (0, 2, 3)),
+        _timed(run_lattice_suite),
+        _timed(run_theta_suite, min(order + 2, 10)),
+        _timed(run_dehn_suite),
+        _timed(run_mirror_suite, order),
+        *(_timed(run_hochschild_suite, c) for c in (0, 2, 3, 5)),
+        *(_timed(run_lie_suite, c) for c in (0, 2, 3)),
     ]
 
 
@@ -386,7 +394,17 @@ def _emit(reports, out_path):
 
 def _parse_window(text: str):
     n_max, s_min = (int(x) for x in text.split(","))
+    if n_max < 0 or s_min > 0:
+        raise argparse.ArgumentTypeError(
+            f"window {text!r} needs N_MAX >= 0 and S_MIN <= 0")
     return n_max, s_min
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
 
 
 def main(argv=None) -> int:
@@ -405,12 +423,12 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("verify-theta", parents=[common],
                        help="Floer versus section-ring products")
-    p.add_argument("--order", type=int, default=10)
+    p.add_argument("--order", type=_positive_int, default=10)
     p.add_argument("--max-degree", type=int, default=12)
 
     p = sub.add_parser("mirror-map", parents=[common],
                        help="recover the Tate curve coefficients")
-    p.add_argument("--order", type=int, default=8)
+    p.add_argument("--order", type=_positive_int, default=8)
     p.add_argument("--emit-relation", action="store_true")
 
     sub.add_parser("dehn-table", parents=[common],
@@ -428,28 +446,23 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("all", parents=[common],
                        help="every suite at default parameters")
-    p.add_argument("--order", type=int, default=8)
+    p.add_argument("--order", type=_positive_int, default=8)
 
     args = parser.parse_args(argv)
-    start = time.time()
     if args.command == "verify-lattice":
-        reports = [run_lattice_suite(args.max_degree)]
+        reports = [_timed(run_lattice_suite, args.max_degree)]
     elif args.command == "verify-theta":
-        reports = [run_theta_suite(args.order, args.max_degree)]
+        reports = [_timed(run_theta_suite, args.order, args.max_degree)]
     elif args.command == "mirror-map":
-        reports = [run_mirror_suite(args.order, args.emit_relation)]
+        reports = [_timed(run_mirror_suite, args.order, args.emit_relation)]
     elif args.command == "dehn-table":
-        reports = [run_dehn_suite()]
+        reports = [_timed(run_dehn_suite)]
     elif args.command == "hochschild":
-        n_max, s_min = args.window
-        reports = [run_hochschild_suite(args.char, n_max, s_min)]
+        reports = [_timed(run_hochschild_suite, args.char, *args.window)]
     elif args.command == "lie-brackets":
-        reports = [run_lie_suite(args.char)]
+        reports = [_timed(run_lie_suite, args.char)]
     else:
         reports = run_all(args.order)
-    elapsed = time.time() - start
-    for r in reports:
-        r.duration_seconds = round(elapsed / len(reports), 3)
     return _emit(reports, args.out)
 
 

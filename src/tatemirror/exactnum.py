@@ -376,16 +376,6 @@ class QSeries:
         return f"({body} + O(q^{self.order}))"
 
 
-def qs_mul(a: QSeries, b: QSeries) -> QSeries:
-    """Cauchy product truncated at the common order."""
-    return a * b
-
-
-def qs_invert(a: QSeries) -> QSeries:
-    """Two-sided inverse mod q^K; requires a unit constant term."""
-    return a.invert()
-
-
 def divisor_power_sum(k: int, n: int) -> int:
     """sigma_k(n), the sum of k-th powers of the positive divisors of n."""
     if n <= 0:

@@ -129,11 +129,6 @@ class PlaneCurveRing:
         return out
 
 
-def normal_form(ring: PlaneCurveRing, terms: dict) -> dict:
-    """Module-level alias for the ring's normal form."""
-    return ring.normal_form(ring.poly(terms))
-
-
 # -- bounded-degree quotient machinery ---------------------------------------
 
 @dataclass

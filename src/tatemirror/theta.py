@@ -110,7 +110,11 @@ def graded_basis(n: int):
 
 @dataclass(frozen=True)
 class ThetaElement:
-    """A degree-n element: a coefficient q-series for each of the n slots."""
+    """A degree-n element: a coefficient q-series for each of the n slots.
+
+    The section ring and the Floer ring share this basis; they differ only in
+    the product of two basis elements, which ``bilinear`` takes as an argument.
+    """
 
     degree: int
     order: int
@@ -132,14 +136,13 @@ class ThetaElement:
     @staticmethod
     def basis(degree: int, p, order: int, ring: Ring = ZZ) -> "ThetaElement":
         """The basis element of index p in (1/degree)Z mod Z."""
-        el = ThetaElement.zero(degree, order, ring)
-        pt = CyclicPoint.from_fraction(degree, p)
-        coeffs = dict(el.coeffs)
-        coeffs[pt] = QSeries.one(ring, order)
-        return ThetaElement(degree, order, coeffs)
+        target = CyclicPoint.from_fraction(degree, p)
+        z, one = QSeries.zero(ring, order), QSeries.one(ring, order)
+        return ThetaElement(degree, order, {pt: one if pt == target else z
+                                            for pt in graded_basis(degree)})
 
-    def _check(self, other: "ThetaElement"):
-        if self.degree != other.degree or self.order != other.order:
+    def _check(self, other: "ThetaElement", same_degree: bool = True):
+        if (same_degree and self.degree != other.degree) or self.order != other.order:
             raise RingMismatchError("degree or order mismatch")
         if self.ring is not other.ring:
             raise RingMismatchError("coefficient rings differ")
@@ -169,14 +172,49 @@ class ThetaElement:
     def coeff(self, p) -> QSeries:
         return self.coeffs[CyclicPoint.from_fraction(self.degree, p)]
 
-    def support(self):
-        return {pt: c for pt, c in sorted(self.coeffs.items(),
-                                          key=lambda kv: kv[0].m)
-                if not c.is_zero()}
+    def q0_map(self) -> dict:
+        """Slot index m -> constant coefficient, omitting zeros."""
+        return {pt.m: c.coeffs[0] for pt, c in sorted(
+            self.coeffs.items(), key=lambda kv: kv[0].m) if c.coeffs[0]}
 
     def __repr__(self):
-        parts = [f"{c!r}*e{pt!r}" for pt, c in self.support().items()]
+        parts = [f"{c!r}*e{pt!r}" for pt, c in sorted(
+            self.coeffs.items(), key=lambda kv: kv[0].m) if not c.is_zero()]
         return " + ".join(parts) if parts else f"0 (degree {self.degree})"
+
+    def bilinear(self, other: "ThetaElement", terms) -> "ThetaElement":
+        """Bilinear extension of a product of basis elements.
+
+        ``terms(n1, p1, n2, p2, order)`` yields ``(target slot, q-exponent,
+        sign)`` for each term of the product of the basis elements at p1 and
+        p2; exponents are below the truncation order.
+        """
+        self._check(other, same_degree=False)
+        n1, n2, order = self.degree, other.degree, self.order
+        out = dict(ThetaElement.zero(n1 + n2, order, self.ring).coeffs)
+        for pt1, c1 in self.coeffs.items():
+            if c1.is_zero():
+                continue
+            p1 = pt1.as_fraction()
+            for pt2, c2 in other.coeffs.items():
+                if c2.is_zero():
+                    continue
+                c12 = c1 * c2
+                for target, exponent, sign in terms(n1, p1, n2, pt2.as_fraction(), order):
+                    term = c12.shift(exponent)
+                    out[target] = out[target] + (term if sign == 1 else -term)
+        return ThetaElement(n1 + n2, order, out)
+
+
+def _section_terms(n1: int, p1, n2: int, p2, order: int):
+    """Section-ring basis product: q^lambda at the weighted mean, per shift j."""
+    for j in j_range(n1, p1, n2, p2, order):
+        lam = lambda_exp(n1, p1, n2, p2 + j)
+        if lam.denominator != 1 or lam < 0:
+            raise InvariantError(f"exponent {lam} at ({n1},{p1};{n2},{p2 + j})")
+        if lam < order:
+            yield (CyclicPoint.from_fraction(n1 + n2, weighted_mean(n1, p1, n2, p2 + j)),
+                   int(lam), 1)
 
 
 def theta_mul(x: ThetaElement, y: ThetaElement) -> ThetaElement:
@@ -186,30 +224,4 @@ def theta_mul(x: ThetaElement, y: ThetaElement) -> ThetaElement:
     degree-(n1+n2) basis element at the weighted mean of p1 and p2 + j; the
     j-sum is cut off once the exponent reaches the truncation order.
     """
-    if x.order != y.order:
-        raise RingMismatchError("truncation orders differ")
-    if x.ring is not y.ring:
-        raise RingMismatchError("coefficient rings differ")
-    n1, n2 = x.degree, y.degree
-    order = x.order
-    out = dict(ThetaElement.zero(n1 + n2, order, x.ring).coeffs)
-    for pt1, c1 in x.coeffs.items():
-        if c1.is_zero():
-            continue
-        p1 = pt1.as_fraction()
-        for pt2, c2 in y.coeffs.items():
-            if c2.is_zero():
-                continue
-            p2 = pt2.as_fraction()
-            c12 = c1 * c2
-            for j in j_range(n1, p1, n2, p2, order):
-                lam = lambda_exp(n1, p1, n2, p2 + j)
-                if lam.denominator != 1 or lam < 0:
-                    raise InvariantError(
-                        f"exponent {lam} at ({n1},{p1};{n2},{p2 + j})")
-                if lam >= order:
-                    continue
-                target = CyclicPoint.from_fraction(
-                    n1 + n2, weighted_mean(n1, p1, n2, p2 + j))
-                out[target] = out[target] + c12.shift(int(lam))
-    return ThetaElement(n1 + n2, order, out)
+    return x.bilinear(y, _section_terms)

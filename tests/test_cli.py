@@ -1,4 +1,5 @@
 import json
+import types
 
 import pytest
 
@@ -35,6 +36,18 @@ class TestExitCodes:
             cli.main(["no-such-suite"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["mirror-map", "--order", "0"],
+        ["verify-theta", "--order", "0"],
+        ["all", "--order", "0"],
+        ["hochschild", "--window", "3,5"],
+    ], ids=" ".join)
+    def test_bad_parameter_exits_2_with_usage(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
     def test_empty_lattice_suite_passes(self, capsys):
         code, doc = run(["verify-lattice", "--max-degree", "0"], capsys)
         assert code == 0
@@ -68,6 +81,26 @@ class TestReports:
         _, first = run(["verify-lattice", "--max-degree", "5"], capsys)
         _, second = run(["verify-lattice", "--max-degree", "5"], capsys)
         assert strip_durations(first) == strip_durations(second)
+
+    def test_all_records_each_suites_own_duration(self, capsys, monkeypatch):
+        clock = [0.0]
+
+        def stub(name, seconds):
+            def suite(*args):
+                clock[0] += seconds
+                return cli.VerificationReport(name, {})
+            return suite
+
+        for seconds, name in enumerate(
+                ("lattice", "theta", "dehn", "mirror", "hochschild", "lie"), 1):
+            monkeypatch.setattr(cli, f"run_{name}_suite", stub(name, seconds))
+        fake_time = types.SimpleNamespace(perf_counter=lambda: clock[0])
+        monkeypatch.setattr(cli, "time", fake_time)
+        code, doc = run(["all"], capsys)
+        assert code == 0
+        assert [(s["suite"], s["duration_seconds"]) for s in doc["suites"]] == [
+            ("lattice", 1), ("theta", 2), ("dehn", 3), ("mirror", 4),
+            *[("hochschild", 5)] * 4, *[("lie", 6)] * 3]
 
     def test_out_file(self, tmp_path, capsys):
         path = tmp_path / "report.json"

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 
 from tatemirror import fukaya, lattice, theta, weierstrass
 from tatemirror.exactnum import ZZ, QSeries
@@ -86,6 +87,38 @@ class TestFloerProduct:
             ab = fukaya.floer_mul(a, b)
             assert ab == fukaya.floer_mul(b, a)
             assert fukaya.floer_mul(ab, c) == fukaya.floer_mul(a, fukaya.floer_mul(b, c))
+
+
+class TestFloerIndependence:
+    PAIRS = [(1, 0, 1, 0), (2, Fraction(1, 2), 3, Fraction(1, 3)),
+             (3, Fraction(2, 3), 4, Fraction(1, 4)), (5, Fraction(3, 5), 2, 0)]
+    TRIPLES = [((1, 0), (2, Fraction(1, 2)), (3, Fraction(2, 3))),
+               ((2, 0), (2, Fraction(1, 2)), (1, 0)),
+               ((3, Fraction(1, 3)), (1, 0), (4, Fraction(3, 4)))]
+
+    def _products(self, order):
+        pairs = [fukaya.floer_product(n1, p1, n2, p2, order)
+                 for n1, p1, n2, p2 in self.PAIRS]
+        triples = []
+        for triple in self.TRIPLES:
+            a, b, c = (fukaya.FloerElement.basis(n, p, order) for n, p in triple)
+            triples.append(fukaya.floer_mul(fukaya.floer_mul(a, b), c))
+        return pairs, triples
+
+    def test_floer_side_never_uses_the_section_exponent(self, monkeypatch):
+        # Floer exponents come only from lattice counts, even though both
+        # rings share one element type and one bilinear loop
+        expected = self._products(6)
+
+        def forbidden(*args):
+            raise AssertionError("section-ring exponent used on the Floer side")
+
+        monkeypatch.setattr(theta, "lambda_exp", forbidden)
+        monkeypatch.setattr(theta, "phi", forbidden)
+        with pytest.raises(AssertionError):
+            theta.theta_mul(theta.ThetaElement.basis(1, 0, 2),
+                            theta.ThetaElement.basis(1, 0, 2))
+        assert self._products(6) == expected
 
 
 class TestDehnTable:

@@ -17,11 +17,11 @@ def rings(char):
 class TestNormalForm:
     def test_defining_relation_cusp(self):
         cusp, _ = rings(0)
-        assert hh.normal_form(cusp, {(0, 2): 1}) == {(3, 0): QQ.coerce(1)}
+        assert cusp.normal_form(cusp.poly({(0, 2): 1})) == {(3, 0): QQ.coerce(1)}
 
     def test_y_cubed_in_node_ring(self):
         _, node = rings(0)
-        got = hh.normal_form(node, {(0, 3): 1})
+        got = node.normal_form(node.poly({(0, 3): 1}))
         assert got == {(3, 1): QQ.coerce(1), (4, 0): QQ.coerce(-1),
                        (2, 1): QQ.coerce(1)}
 
