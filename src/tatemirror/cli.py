@@ -371,7 +371,7 @@ def _timed(suite, *args) -> VerificationReport:
 def run_all(order: int = 8) -> list:
     return [
         _timed(run_lattice_suite),
-        _timed(run_theta_suite, min(order + 2, 10)),
+        _timed(run_theta_suite),
         _timed(run_dehn_suite),
         _timed(run_mirror_suite, order),
         *(_timed(run_hochschild_suite, c) for c in (0, 2, 3, 5)),
@@ -446,7 +446,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("all", parents=[common],
                        help="every suite at default parameters")
-    p.add_argument("--order", type=_positive_int, default=8)
+    p.add_argument("--order", type=_positive_int, default=8,
+                   help="order of the mirror-map suite only")
 
     args = parser.parse_args(argv)
     if args.command == "verify-lattice":

@@ -205,11 +205,6 @@ def tjurina_dim(ring: PlaneCurveRing, bound: int = 10):
     return lo.dim, lo.basis
 
 
-def tjurina_slice(ring: PlaneCurveRing, bound: int = 10) -> _QuotientSlice:
-    """The reduction data behind ``tjurina_dim``, for evaluating classes in T."""
-    return _ideal_slice(ring, 2 * bound)
-
-
 def _koszul_at(ring: PlaneCurveRing, report_weight: int):
     field = ring.field
     fx, fy = ring.f_x(), ring.f_y()
@@ -297,7 +292,7 @@ def omega_pairing(ring: PlaneCurveRing, generators, bound: int = 10):
     and raises VerificationFailure unless every entry vanishes.
     """
     # products of generator components can reach twice their weight bound
-    tslice = tjurina_slice(ring, 2 * bound)
+    tslice = _ideal_slice(ring, 4 * bound)
     field = ring.field
     matrix = []
     for (a1, a2) in generators:

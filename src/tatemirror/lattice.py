@@ -217,21 +217,10 @@ def row_formula_count(n1: int, p1, n2: int, p2) -> int:
     q1 = math.floor(p1)
     r1 = n1 * (p1 - q1)
     q2 = math.floor(p2)
-    r2 = n2 * (p2 - q2)
     q3 = math.floor(p3)
     r3 = n3 * (p3 - q3)
 
-    if r2 == 0:
-        lam1 = (Fraction(n1 * q1 * q1, 2) + Fraction(n1 * p2 * p2, 2) + r1 * q1
-                - n1 * p2 * q1 - r1 * p2 - Fraction(n1 * p2, 2)
-                + Fraction(n1 * q1, 2) + r1)
-        lam2 = (Fraction(n3 * q3 * q3, 2) + Fraction(n3 * p2 * p2, 2) + r3 * q3
-                - n3 * p2 * q3 - r3 * p2 - Fraction(n3 * p2, 2)
-                + Fraction(n3 * q3, 2) + r3)
-    else:
-        lam1 = _row_count(n1, q1, r1, p1, q2)
-        lam2 = _row_count(n3, q3, r3, p3, q2)
-    diff = lam1 - lam2
+    diff = _row_count(n1, q1, r1, p1, q2) - _row_count(n3, q3, r3, p3, q2)
     if diff.denominator != 1:
         raise ValueError(f"non-integral count {diff}; inputs not in (1/n)Z")
     return int(diff)

@@ -235,19 +235,6 @@ def tate_curve(order: int) -> WeierstrassCoeffs:
 
 # -- normalization to Tate form ---------------------------------------------
 
-def _strict_normalizer(w: WeierstrassCoeffs, u0: int):
-    """The unique g with u identically u0 making (a1,a2,a3) = (1,0,0), if integral."""
-    a1, a2, a3 = w.a1, w.a2, w.a3
-    u_target = QSeries.const(ZZ, a1.order, u0)
-    try:
-        s = (u_target - a1).exact_div(2)
-        r = (s * s + s * a1 - a2).exact_div(3)
-        t = (-(a3 + r * a1)).exact_div(2)
-    except NonUnitError:
-        return None
-    return Reparam(u_target, s, r, t)
-
-
 def _hensel_normalizer(w: WeierstrassCoeffs, u0_order):
     """Order-by-order integral solve of a1'=1, a2'=0, a3'=0."""
     order = w.a1.order
@@ -298,8 +285,8 @@ def tate_normalize(w: WeierstrassCoeffs):
 
     Requires a q-series curve over Z whose q = 0 fiber is a node with odd a1.
     Returns (g, w') with w' = reparam_apply(g, w), a1' = 1 and a2' = a3' = 0
-    exactly mod q^K.  Prefers the solution with u constant (+1 before -1,
-    led by the sign of a1 at q = 0), falling back to an order-by-order lift.
+    exactly mod q^K, lifted order by order from its q = 0 term; u(0) takes the
+    sign of a1 at q = 0 when that term is integral, and the other sign if not.
     """
     if not (w.is_series and w.ring is ZZ):
         raise ValueError("normalization expects q-series coefficients over Z")
@@ -310,14 +297,7 @@ def tate_normalize(w: WeierstrassCoeffs):
     if fiber is not Fiber.NODE:
         raise NormalizationFailure(0, f"q=0 fiber is {fiber.value}, not a node")
 
-    u0_order = (1, -1) if a10 > 0 else (-1, 1)
-    g = None
-    for u0 in u0_order:
-        g = _strict_normalizer(w, u0)
-        if g is not None:
-            break
-    if g is None:
-        g = _hensel_normalizer(w, u0_order)
+    g = _hensel_normalizer(w, (1, -1) if a10 > 0 else (-1, 1))
     out = reparam_apply(g, w)
     one = QSeries.one(ZZ, w.a1.order)
     zero = QSeries.zero(ZZ, w.a1.order)
@@ -345,8 +325,8 @@ def match_quartic_gauge(w: WeierstrassCoeffs, a4_target: QSeries):
 
     A curve in the shape (1, 0, 0, a4, a6) is preserved by the stabilizer
     elements above, which shift the order-m coefficient of a4 by any integer
-    while fixing everything below; the normal form with a prescribed a4 is
-    therefore unique.  Returns (g, w') with w'.a4 equal to the target.
+    while fixing everything below when a4(0) = 0; the normal form with a
+    prescribed a4 is then unique.  Returns (g, w') with w'.a4 equal to the target.
     """
     order = w.a1.order
     one = QSeries.one(ZZ, order)
@@ -357,15 +337,15 @@ def match_quartic_gauge(w: WeierstrassCoeffs, a4_target: QSeries):
         raise NormalizationFailure(0, "constant quartic coefficients differ")
     g = Reparam.identity_like(w.a1)
     current = w
+    # weight k at order m fixes lower orders and moves a4 at q^m by k*(1 - 48*a4(0))
+    step = 1 - 48 * w.a4.coeffs[0]
     for m in range(1, order):
         diff = a4_target.coeffs[m] - current.a4.coeffs[m]
         if diff == 0:
             continue
-        probe = reparam_apply(normal_form_stabilizer(order, m, 1), current)
-        step = probe.a4.coeffs[m] - current.a4.coeffs[m]
-        if step not in (1, -1):
+        if step != 1:
             raise InvariantError(f"stabilizer step {step} at order {m}")
-        gm = normal_form_stabilizer(order, m, diff * step)
+        gm = normal_form_stabilizer(order, m, diff)
         current = reparam_apply(gm, current)
         g = reparam_compose(gm, g)
     if current.a4 != a4_target:

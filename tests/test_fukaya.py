@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from tatemirror import fukaya, lattice, theta, weierstrass
-from tatemirror.exactnum import ZZ, QSeries
+from tatemirror.exactnum import ZZ, QSeries, divisor_power_sum
 
 
 class TestEnumerateTriangles:
@@ -201,3 +201,35 @@ class TestSeidelMirror:
         res = fukaya.mirror_weierstrass(4)
         assert weierstrass.reparam_apply(res.reparam, res.raw) == res.curve
         assert res.unit.coeffs[0] == -1
+
+
+class TestGaugeFreeMirrorInvariants:
+    # a4 is pinned by the gauge slice, so these invariants are the evidence
+    # that does not depend on how the gauge was fixed
+    order = 12
+
+    @pytest.fixture(scope="class")
+    def mirror(self):
+        return fukaya.mirror_weierstrass(self.order)
+
+    def test_discriminant_is_q_times_eta_product(self, mirror):
+        one = QSeries.one(ZZ, self.order)
+        expected = QSeries.gen(ZZ, self.order)
+        for n in range(1, self.order):
+            factor = one - one.shift(n)
+            for _ in range(24):
+                expected = expected * factor
+        delta, _ = weierstrass.discriminant(mirror.curve)
+        assert delta == expected
+
+    def test_c4_is_eisenstein_e4(self, mirror):
+        e4 = QSeries.make(ZZ, self.order, [1] + [
+            240 * divisor_power_sum(3, n) for n in range(1, self.order)])
+        _, c4 = weierstrass.discriminant(mirror.curve)
+        assert c4 == e4
+
+    def test_j_invariant_preserved_from_raw_curve(self, mirror):
+        # j = c4^3 / Delta, compared by cross-multiplying
+        delta_raw, c4_raw = weierstrass.discriminant(mirror.raw)
+        delta, c4 = weierstrass.discriminant(mirror.curve)
+        assert c4_raw * c4_raw * c4_raw * delta == c4 * c4 * c4 * delta_raw

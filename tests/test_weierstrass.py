@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from tatemirror import weierstrass as ws
-from tatemirror.errors import NonUnitError, NormalizationFailure
+from tatemirror.errors import InvariantError, NonUnitError, NormalizationFailure
 from tatemirror.exactnum import GF, QQ, ZZ, QSeries, Scalar
 
 
@@ -238,6 +238,16 @@ class TestQuarticGauge:
         with pytest.raises(ValueError):
             ws.match_quartic_gauge(series_curve([[-1], [0], [0], [0], [0]], order),
                                    QSeries.zero(ZZ, order))
+
+    def test_nonunit_stabilizer_step_rejected(self):
+        # with a4(0) = 1 every stabilizer moves a4 at q^m by 1 - 48 = -47 per unit
+        order = 4
+        w = series_curve([[1], [0], [0], [1], [0]], order)
+        with pytest.raises(InvariantError, match="^stabilizer step -47 at order 1$"):
+            ws.match_quartic_gauge(w, QSeries.make(ZZ, order, [1, 1]))
+        g, same = ws.match_quartic_gauge(w, w.a4)
+        assert same == w
+        assert g == ws.Reparam.identity_like(w.a1)
 
 
 class TestLieLayer:
