@@ -131,64 +131,72 @@ class PlaneCurveRing:
 
 # -- bounded-degree quotient machinery ---------------------------------------
 
-@dataclass
-class _QuotientSlice:
-    """Row-reduced span of an ideal, reported inside a weight window.
+def _vector(index: dict, element, field):
+    """Coordinates of an element of R^k; column (side, mono) holds one coefficient."""
+    vec = [field.zero()] * len(index)
+    for side, comp in enumerate(element):
+        for mono, coeff in comp.items():
+            if (side, mono) not in index:
+                raise ValueError(f"monomial {mono} exceeds the weight window")
+            vec[index[(side, mono)]] = coeff
+    return vec
 
-    Products are tracked in a padded window (multiplier weight bound plus the
-    generator weight); with columns ordered by descending weight, an echelon
-    row whose pivot lies in the reporting window is supported entirely inside
-    it, so counting low pivots measures the quotient there exactly.
+
+def _columns(ring: PlaneCurveRing, report_weight: int, k: int) -> list:
+    """Columns (side, mono) of R^k in the padded window, by descending weight."""
+    return [(side, m) for m in reversed(ring.monomials(report_weight + 4))
+            for side in range(k)]
+
+
+def _multiple_rows(ring: PlaneCurveRing, gens, multipliers, columns):
+    """One row per generator g in R^k and multiplier monomial m: the vector m*g."""
+    index = {c: i for i, c in enumerate(columns)}
+    return [_vector(index, [ring.mul({mono: ring.field.one()}, comp) for comp in g],
+                    ring.field)
+            for g in gens for mono in multipliers]
+
+
+class _Span:
+    """Row-reduced span of the multiples of generators of R^k in a weight window.
+
+    Multipliers run up to report_weight and products are tracked in the window
+    padded by the generator weight 4; with columns ordered by descending weight,
+    an echelon row whose pivot lies in the reporting window is supported
+    entirely inside it, so counting low pivots measures the span there exactly.
     """
 
-    ring: PlaneCurveRing
-    report_weight: int
-    columns: list
-    col_index: dict
-    rref_rows: list
-    pivots: list
-    basis: list  # quotient monomial basis in the window, ascending weight
+    def __init__(self, ring: PlaneCurveRing, gens, report_weight: int):
+        self.ring = ring
+        self.report_weight = report_weight
+        self.columns = _columns(ring, report_weight, len(gens[0]))
+        self.index = {c: i for i, c in enumerate(self.columns)}
+        rows = _multiple_rows(ring, gens, ring.monomials(report_weight), self.columns)
+        rows, self.pivots = _linalg.rref(rows, ring.field)
+        self.rows = rows[: len(self.pivots)]
 
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
+    def _low(self, col: int) -> bool:
+        return weight(self.columns[col][1]) <= self.report_weight
 
-    def vectorize(self, p: dict):
-        vec = [self.ring.field.zero()] * len(self.columns)
-        for mono, coeff in p.items():
-            if mono not in self.col_index:
-                raise ValueError(f"monomial {mono} exceeds the weight window")
-            vec[self.col_index[mono]] = coeff
-        return vec
+    def low_rank(self) -> int:
+        return sum(1 for p in self.pivots if self._low(p))
+
+    def basis(self) -> list:
+        """Monomials of the non-pivot reporting columns, ascending weight."""
+        pivots = set(self.pivots)
+        return sorted((m for i, (_, m) in enumerate(self.columns)
+                       if i not in pivots and self._low(i)),
+                      key=lambda m: (weight(m), m[1]))
 
     def reduce(self, p: dict) -> dict:
-        """Residue of p modulo the ideal span, as a monomial combination."""
-        vec = self.vectorize(self.ring.normal_form(p))
-        red = _linalg.reduce_mod_span(self.rref_rows, self.pivots, vec, self.ring.field)
-        return {self.columns[i]: v for i, v in enumerate(red)
-                if v != self.ring.field.zero()}
+        """Residue of the polynomial p modulo a one-component span."""
+        field = self.ring.field
+        vec = _vector(self.index, [self.ring.normal_form(p)], field)
+        red = _linalg.reduce_mod_span(self.rows, self.pivots, vec, field)
+        return {self.columns[i][1]: v for i, v in enumerate(red) if v != field.zero()}
 
 
-def _ideal_slice(ring: PlaneCurveRing, report_weight: int) -> _QuotientSlice:
-    columns = list(reversed(ring.monomials(report_weight + 4)))
-    col_index = {m: i for i, m in enumerate(columns)}
-    gens = []
-    for g in (ring.f_x(), ring.f_y()):
-        if not g:
-            continue
-        for mono in ring.monomials(report_weight):
-            prod = ring.mul({mono: ring.field.one()}, g)
-            vec = [ring.field.zero()] * len(columns)
-            for m, v in prod.items():
-                vec[col_index[m]] = v
-            gens.append(vec)
-    rows, pivots = _linalg.rref(gens, ring.field)
-    rows = rows[: len(pivots)]
-    pivot_set = set(pivots)
-    basis = [columns[i] for i in range(len(columns))
-             if i not in pivot_set and weight(columns[i]) <= report_weight]
-    basis.sort(key=lambda m: (weight(m), m[1]))
-    return _QuotientSlice(ring, report_weight, columns, col_index, rows, pivots, basis)
+def _ideal_slice(ring: PlaneCurveRing, report_weight: int) -> _Span:
+    return _Span(ring, [(ring.f_x(),), (ring.f_y(),)], report_weight)
 
 
 def tjurina_dim(ring: PlaneCurveRing, bound: int = 10):
@@ -197,75 +205,38 @@ def tjurina_dim(ring: PlaneCurveRing, bound: int = 10):
     Uses linear algebra on monomials up to weight 2*bound, checking that the
     answer is unchanged at 2*bound + 4 (the bound-vs-bound+2 stabilization).
     """
-    lo = _ideal_slice(ring, 2 * bound)
-    hi = _ideal_slice(ring, 2 * bound + 4)
-    if lo.dim != hi.dim:
+    lo = _ideal_slice(ring, 2 * bound).basis()
+    hi = _ideal_slice(ring, 2 * bound + 4).basis()
+    if len(lo) != len(hi):
         raise StabilizationError(
-            f"Tjurina dimension moved from {lo.dim} to {hi.dim}; increase the bound")
-    return lo.dim, lo.basis
+            f"Tjurina dimension moved from {len(lo)} to {len(hi)}; increase the bound")
+    return len(lo), lo
 
 
 def _koszul_at(ring: PlaneCurveRing, report_weight: int):
     field = ring.field
     fx, fy = ring.f_x(), ring.f_y()
     source = ring.monomials(report_weight)
-    target = ring.monomials(report_weight + 4)
-    tindex = {m: i for i, m in enumerate(target)}
-    ncols = 2 * len(source)
+    # kernel of (alpha1, alpha2) -> alpha1*f_x + alpha2*f_y on the window,
+    # rows by ascending weight: over QQ the elimination is faster that way
+    matrix = _linalg.transpose(_multiple_rows(
+        ring, [(fx,), (fy,)], source, _columns(ring, report_weight, 1)))[::-1]
+    kernel = [tuple({source[i]: v for i, v in enumerate(half) if v != field.zero()}
+                    for half in (vec[: len(source)], vec[len(source):]))
+              for vec in _linalg.nullspace(matrix, field)]
+    boundary = _Span(ring, [(fy, ring.scale(fx, -1))], report_weight)
+    dim = len(kernel) - boundary.low_rank()
 
-    # kernel of (alpha1, alpha2) -> alpha1*f_x + alpha2*f_y on the window
-    rows = [[field.zero()] * ncols for _ in target]
-    for side, g in ((0, fx), (1, fy)):
-        for j, mono in enumerate(source):
-            prod = ring.mul({mono: field.one()}, g)
-            col = side * len(source) + j
-            for m, v in prod.items():
-                rows[tindex[m]][col] = v
-    kernel = _linalg.nullspace(rows, field)
-
-    # span of the multiples of (f_y, -f_x), tracked in a padded pair window
-    # ordered by descending weight so low pivots certify low support
-    bigcols = [(side, mono) for mono in reversed(target) for side in (0, 1)]
-    bigindex = {c: i for i, c in enumerate(bigcols)}
-    nvecs = []
-    for mono in source:
-        vec = [field.zero()] * len(bigcols)
-        for m, v in ring.mul({mono: field.one()}, fy).items():
-            vec[bigindex[(0, m)]] = v
-        for m, v in ring.scale(ring.mul({mono: field.one()}, fx), -1).items():
-            vec[bigindex[(1, m)]] = v
-        nvecs.append(vec)
-    nrref, npivots = _linalg.rref(nvecs, field)
-    nrref = nrref[: len(npivots)]
-    low_pivots = sum(1 for p in npivots if weight(bigcols[p][1]) <= report_weight)
-    dim = len(kernel) - low_pivots
-
-    def embed(vec):
-        big = [field.zero()] * len(bigcols)
-        for i, v in enumerate(vec):
-            if v != field.zero():
-                side, mono = divmod(i, len(source))
-                big[bigindex[(side, source[mono])]] = v
-        return big
-
-    gens = []
-    span = [row[:] for row in nrref]
-    span_pivots = list(npivots)
-    for vec in kernel:
-        red = _linalg.reduce_mod_span(span, span_pivots, embed(vec), field)
+    pairs = []
+    span, span_pivots = boundary.rows, boundary.pivots
+    for pair in kernel:
+        red = _linalg.reduce_mod_span(
+            span, span_pivots, _vector(boundary.index, pair, field), field)
         if all(v == field.zero() for v in red):
             continue
-        gens.append(vec)
-        red_rows, red_pivots = _linalg.rref(span + [red], field)
-        span = red_rows[: len(red_pivots)]
-        span_pivots = red_pivots
-    pairs = []
-    for vec in gens:
-        p1 = {source[i]: v for i, v in enumerate(vec[: len(source)])
-              if v != field.zero()}
-        p2 = {source[i]: v for i, v in enumerate(vec[len(source):])
-              if v != field.zero()}
-        pairs.append((p1, p2))
+        pairs.append(pair)
+        red_rows, span_pivots = _linalg.rref(span + [red], field)
+        span = red_rows[: len(span_pivots)]
     return dim, pairs
 
 
@@ -285,22 +256,18 @@ def koszul_middle_generators(ring: PlaneCurveRing, bound: int = 10):
     return pairs
 
 
-def omega_pairing(ring: PlaneCurveRing, generators, bound: int = 10):
+def omega_pairing(ring: PlaneCurveRing, generators):
     """The skew pairing (a1,a2),(g1,g2) -> [a1*g2 - a2*g1] in T.
 
     Returns the matrix of values over the given middle-homology generators
     and raises VerificationFailure unless every entry vanishes.
     """
-    # products of generator components can reach twice their weight bound
-    tslice = _ideal_slice(ring, 4 * bound)
-    field = ring.field
-    matrix = []
-    for (a1, a2) in generators:
-        row = []
-        for (g1, g2) in generators:
-            val = ring.add(ring.mul(a1, g2), ring.scale(ring.mul(a2, g1), -1))
-            row.append(tslice.reduce(val))
-        matrix.append(row)
+    values = [[ring.add(ring.mul(a1, g2), ring.scale(ring.mul(a2, g1), -1))
+               for (g1, g2) in generators] for (a1, a2) in generators]
+    # the window only has to hold the values themselves
+    tslice = _ideal_slice(ring, max((weight(m) for row in values for val in row
+                                     for m in val), default=0))
+    matrix = [[tslice.reduce(val) for val in row] for row in values]
     for i, row in enumerate(matrix):
         for j, entry in enumerate(row):
             if entry:
@@ -403,16 +370,13 @@ def cusp_graded_ranks(ring: PlaneCurveRing, n_max: int, s_min: int) -> GradedRan
         raise ValueError("empty window")
     field = ring.field
     ranks = {}
+    rank_in = {}  # s -> rank of the differential into row n, carried from row n - 1
     for n in range(n_max + 1):
         for s in range(s_min, 1):
             d_out, src_dim = _dga_matrix(ring, n, s)
             rank_out = _linalg.rank(d_out, field)
-            if n == 0:
-                rank_in = 0
-            else:
-                d_in, _ = _dga_matrix(ring, n - 1, s)
-                rank_in = _linalg.rank(d_in, field)
-            h = src_dim - rank_out - rank_in
+            h = src_dim - rank_out - rank_in.get(s, 0)
+            rank_in[s] = rank_out
             if h < 0:
                 raise VerificationFailure(f"negative rank at bucket ({n}, {s})")
             if h:

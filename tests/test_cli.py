@@ -41,6 +41,8 @@ class TestExitCodes:
         ["verify-theta", "--order", "0"],
         ["all", "--order", "0"],
         ["hochschild", "--window", "3,5"],
+        ["hochschild", "--char", "4"],
+        ["lie-brackets", "--char", "1"],
     ], ids=" ".join)
     def test_bad_parameter_exits_2_with_usage(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -136,3 +138,16 @@ class TestLieSuites:
         if char in (2, 3):
             adj = next(c for c in doc["checks"] if c["id"] == "adjoint-table")
             assert adj["actual"] == "global sign 1"
+
+
+class TestEveryPrime:
+    # the characteristic rule is stated once: every prime from 7 on behaves
+    # like characteristic 0, with dim T = 2 and the scaling eigenvalues
+    PRIMES = [p for p in range(7, 48) if all(p % d for d in range(2, p))]
+
+    @pytest.mark.parametrize("char", PRIMES)
+    def test_suites_pass(self, char):
+        hoch = cli.run_hochschild_suite(char)
+        lie = cli.run_lie_suite(char)
+        assert hoch.passed and len(hoch.checks) >= 13
+        assert lie.passed and len(lie.checks) >= 5

@@ -82,6 +82,11 @@ class TestKoszulMiddle:
             tdim, _ = hh.tjurina_dim(ring)
             assert hh.koszul_h1_dim(ring) == tdim
 
+    @pytest.mark.parametrize("char", CHARS)
+    def test_generator_count_equals_dimension(self, char):
+        for ring in rings(char):
+            assert len(hh.koszul_middle_generators(ring)) == hh.koszul_h1_dim(ring)
+
     def test_generator_pairs_are_syzygies(self):
         for char in CHARS:
             cusp, node = rings(char)
@@ -104,6 +109,20 @@ class TestOmegaPairing:
     def test_detects_fabricated_nonzero_pair(self):
         cusp, _ = rings(0)
         fake = [({(0, 0): QQ.coerce(1)}, {}), ({}, {(0, 0): QQ.coerce(1)})]
+        with pytest.raises(VerificationFailure):
+            hh.omega_pairing(cusp, fake)
+
+    def test_window_fits_high_weight_values(self):
+        # the value x^23 (weight 46) lies in (f_x, f_y); the window must reach it
+        cusp, _ = rings(0)
+        pairs = [({(0, 0): QQ.coerce(1)}, {}), ({}, {(23, 0): QQ.coerce(1)})]
+        matrix = hh.omega_pairing(cusp, pairs)
+        assert all(entry == {} for row in matrix for entry in row)
+
+    def test_detects_high_weight_nonzero_pair(self):
+        cusp, _ = rings(0)
+        fake = [({(0, 0): QQ.coerce(1)}, {}),
+                ({}, {(0, 0): QQ.coerce(1), (23, 0): QQ.coerce(1)})]
         with pytest.raises(VerificationFailure):
             hh.omega_pairing(cusp, fake)
 

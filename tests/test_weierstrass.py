@@ -194,8 +194,8 @@ class TestTateNormalize:
             assert ws.reparam_apply(gn, w) == out
 
     def test_order_by_order_branch(self):
-        # an odd higher a1 coefficient rules out any constant-u solution,
-        # forcing the order-by-order lift
+        # a non-constant u leaves odd higher a1 coefficients, which the
+        # order-by-order lift clears with a non-constant u of its own
         order = 6
         u = QSeries.make(ZZ, order, [1, 1])
         g = ws.Reparam(u, QSeries.zero(ZZ, order), QSeries.zero(ZZ, order),
