@@ -200,20 +200,19 @@ def run_hochschild_suite(char: int = 0, n_max: int = 8, s_min: int = -12,
     tdim, _ = hochschild.tjurina_dim(cusp, bound)
     report.add("cusp-tjurina-dim", "milnor-ring-dimension", tdim == expected_t,
                expected=expected_t, actual=tdim)
-    kdim = hochschild.koszul_h1_dim(cusp, bound)
+    kdim, cusp_pairs = hochschild.koszul_h1_dim(cusp, bound)
     report.add("cusp-middle-homology-dim", "middle-homology-equals-tjurina",
                kdim == tdim, expected=tdim, actual=kdim)
 
     ntdim, _ = hochschild.tjurina_dim(node, bound)
-    nkdim = hochschild.koszul_h1_dim(node, bound)
+    nkdim, node_pairs = hochschild.koszul_h1_dim(node, bound)
     report.add("node-tjurina-dim", "nodal-tjurina-trivial", ntdim == 1,
                expected=1, actual=ntdim)
     report.add("node-middle-homology-dim", "nodal-middle-homology-trivial",
                nkdim == 1, expected=1, actual=nkdim)
-    for label, ring in (("cusp", cusp), ("node", node)):
+    for label, ring, pairs in (("cusp", cusp, cusp_pairs), ("node", node, node_pairs)):
         try:
-            hochschild.omega_pairing(
-                ring, hochschild.koszul_middle_generators(ring, bound))
+            hochschild.omega_pairing(ring, pairs)
             report.add(f"{label}-skew-pairing", "skew-pairing-vanishes", True,
                        expected="zero matrix", actual="zero matrix")
         except VerificationFailure as e:
@@ -252,46 +251,22 @@ _LIE_TABLES = {
 }
 
 
-def _vector_in_labels(vec, labels, fld):
-    """Express a coefficient-space vector in the labelled directions."""
-    name_to_idx = {n: i for i, n in enumerate(weierstrass.COEFF_NAMES)}
-    out = {}
-    covered = set()
-    for label, direction, sgn in labels:
-        idx = name_to_idx[direction]
-        covered.add(idx)
-        coeff = fld.mul(vec[idx], fld.coerce(sgn))
-        if coeff != fld.zero():
-            out[label] = coeff
-    for i, v in enumerate(vec):
-        if i not in covered and v != fld.zero():
-            raise VerificationFailure(f"unexpected component along {weierstrass.COEFF_NAMES[i]}")
-    return out
+def _coordinates(combination: dict, labels, names, fld):
+    """Coordinate vector over names of a combination {label: coeff}; each
+    (label, name, sign) in labels puts sign * coeff at name."""
+    vec = [fld.zero()] * len(names)
+    for label, name, sgn in labels:
+        vec[names.index(name)] = fld.coerce(sgn * combination.get(label, 0))
+    return vec
 
 
-def _match_with_global_sign(computed: dict, expected: dict, fld):
-    """The sign s with computed = s * expected entrywise, if one exists."""
-    signs = set()
-    for key, want in expected.items():
-        got = computed.get(key, {})
-        if set(got) != {k for k, v in want.items() if fld.coerce(v) != fld.zero()}:
-            return None
-        for label, coeff in want.items():
-            w = fld.coerce(coeff)
-            if w == fld.zero():
-                continue
-            g = got[label]
-            if g == w:
-                signs.add(1)
-            elif g == fld.neg(w):
-                signs.add(-1)
-            else:
-                return None
-    if fld.characteristic == 2:
-        return 1 if signs <= {1, -1} else None
-    if len(signs) > 1:
-        return None
-    return signs.pop() if signs else 1
+def _global_sign(computed: dict, expected: dict, fld):
+    """The s in {1, -1} with computed = s * expected over the whole table, or None."""
+    for s in (1, -1):
+        if all(computed[key] == [fld.coerce(s * v) for v in want]
+               for key, want in expected.items()):
+            return s
+    return None
 
 
 def run_lie_suite(char: int = 0) -> VerificationReport:
@@ -323,44 +298,23 @@ def run_lie_suite(char: int = 0) -> VerificationReport:
                        got == want, expected=want, actual=got)
         return report
 
-    basis = {"ds": weierstrass.LieElement.of(fld, ds=1),
-             "dr": weierstrass.LieElement.of(fld, dr=1),
-             "dt": weierstrass.LieElement.of(fld, dt=1),
-             "du": weierstrass.LieElement.of(fld, du=1)}
-    lie_of = {label: (basis[gen], sgn) for label, gen, sgn in table["L"]}
-
-    computed = {}
-    for (lname, qname) in table["adjoint"]:
-        xi, sgn = lie_of[lname]
-        direction = next(weierstrass.coeff_direction(fld, d)
-                         for q, d, s in table["Q2"] if q == qname)
-        dir_sign = next(s for q, d, s in table["Q2"] if q == qname)
-        vec = weierstrass.adjoint_bracket(xi, direction)
-        vec = [fld.mul(v, fld.coerce(sgn * dir_sign)) for v in vec]
-        computed[(lname, qname)] = _vector_in_labels(vec, table["Q2"], fld)
-    sign = _match_with_global_sign(computed, table["adjoint"], fld)
-    report.add("adjoint-table", "adjoint-bracket-table", sign is not None,
-               expected="match up to one global sign",
-               actual=f"global sign {sign}" if sign is not None else computed)
-
-    ll_computed = {}
-    for (l1, l2) in table["LL"]:
-        xi1, s1 = lie_of[l1]
-        xi2, s2 = lie_of[l2]
-        br = weierstrass.lie_bracket(xi1, xi2)
-        vec4 = [fld.mul(v, fld.coerce(s1 * s2)) for v in br.as_vector()]
-        out = {}
-        for label, gen, sgn in table["L"]:
-            idx = {"ds": 0, "dr": 1, "dt": 2, "du": 3}[gen]
-            coeff = fld.mul(vec4[idx], fld.coerce(sgn))
-            if coeff != fld.zero():
-                out[label] = coeff
-        ll_computed[(l1, l2)] = out
-    ll_sign = _match_with_global_sign(ll_computed, table["LL"], fld)
-    report.add("degree-one-bracket-table", "vector-field-bracket-table",
-               ll_sign is not None,
-               expected="match up to one global sign",
-               actual=f"global sign {ll_sign}" if ll_sign is not None else ll_computed)
+    l_side = (table["L"], weierstrass.LIE_NAMES, fld)
+    q_side = (table["Q2"], weierstrass.COEFF_NAMES, fld)
+    lie = {label: weierstrass.LieElement(fld, *_coordinates({label: 1}, *l_side))
+           for label, _, _ in table["L"]}
+    adjoint = {(l, q): weierstrass.adjoint_bracket(lie[l], _coordinates({q: 1}, *q_side))
+               for l, q in table["adjoint"]}
+    brackets = {(l1, l2): weierstrass.lie_bracket(lie[l1], lie[l2]).as_vector()
+                for l1, l2 in table["LL"]}
+    for check, anchor, computed, entries, side in (
+            ("adjoint-table", "adjoint-bracket-table", adjoint, table["adjoint"], q_side),
+            ("degree-one-bracket-table", "vector-field-bracket-table", brackets,
+             table["LL"], l_side)):
+        expected = {key: _coordinates(want, *side) for key, want in entries.items()}
+        sign = _global_sign(computed, expected, fld)
+        report.add(check, anchor, sign is not None,
+                   expected="match up to one global sign",
+                   actual=f"global sign {sign}" if sign is not None else computed)
     return report
 
 
@@ -420,6 +374,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is a negative integer")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="tatemirror",
@@ -432,12 +393,12 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("verify-lattice", parents=[common],
                        help="triangle-count identities")
-    p.add_argument("--max-degree", type=int, default=12)
+    p.add_argument("--max-degree", type=_nonnegative_int, default=12)
 
     p = sub.add_parser("verify-theta", parents=[common],
                        help="Floer versus section-ring products")
     p.add_argument("--order", type=_positive_int, default=10)
-    p.add_argument("--max-degree", type=int, default=12)
+    p.add_argument("--max-degree", type=_nonnegative_int, default=12)
 
     p = sub.add_parser("mirror-map", parents=[common],
                        help="recover the Tate curve coefficients")

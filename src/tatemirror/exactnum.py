@@ -283,19 +283,13 @@ class QSeries:
         self._check(other)
         k = self.order
         a, b = self.coeffs, other.coeffs
-        if self.ring.kind == "GF":
-            p = self.ring.p
-            out = [0] * k
-            for i, ai in enumerate(a):
-                if ai:
-                    for j in range(k - i):
-                        out[i + j] = (out[i + j] + ai * b[j]) % p
-        else:
-            out = [self.ring.zero()] * k
-            for i, ai in enumerate(a):
-                if ai:
-                    for j in range(k - i):
-                        out[i + j] += ai * b[j]
+        out = [self.ring.zero()] * k
+        for i, ai in enumerate(a):
+            if ai:
+                for j in range(k - i):
+                    out[i + j] += ai * b[j]
+        if self.ring.kind == "GF":  # residues accumulate as integers, reduced once
+            out = [c % self.ring.p for c in out]
         return QSeries(self.ring, self.order, tuple(out))
 
     __rmul__ = __mul__

@@ -240,20 +240,19 @@ def _koszul_at(ring: PlaneCurveRing, report_weight: int):
     return dim, pairs
 
 
-def koszul_h1_dim(ring: PlaneCurveRing, bound: int = 10) -> int:
-    """Dimension of ker[(a1,a2) -> a1*f_x + a2*f_y] modulo R*(f_y, -f_x)."""
-    lo, _ = _koszul_at(ring, 2 * bound)
+def koszul_h1_dim(ring: PlaneCurveRing, bound: int = 10):
+    """Dimension and generating pairs of ker[(a1,a2) -> a1*f_x + a2*f_y]
+    modulo R*(f_y, -f_x).
+
+    The pairs come from the window 2*bound, and the dimension is checked to be
+    unchanged at 2*bound + 4 (the same stabilization as tjurina_dim).
+    """
+    lo, pairs = _koszul_at(ring, 2 * bound)
     hi, _ = _koszul_at(ring, 2 * bound + 4)
     if lo != hi:
         raise StabilizationError(
             f"middle homology moved from {lo} to {hi}; increase the bound")
-    return lo
-
-
-def koszul_middle_generators(ring: PlaneCurveRing, bound: int = 10):
-    """Representative pairs spanning the middle homology."""
-    _, pairs = _koszul_at(ring, 2 * bound)
-    return pairs
+    return lo, pairs
 
 
 def omega_pairing(ring: PlaneCurveRing, generators):

@@ -20,6 +20,7 @@ from .errors import InvariantError, NonUnitError, NormalizationFailure, RingMism
 from .exactnum import QQ, ZZ, QSeries, Ring, Scalar, divisor_power_sum
 
 COEFF_NAMES = ("a1", "a2", "a3", "a4", "a6")
+LIE_NAMES = ("ds", "dr", "dt", "du")
 
 
 @dataclass(frozen=True)
@@ -375,9 +376,7 @@ class LieElement:
 
 def lie_basis(ring: Ring):
     """(ds, dr, dt, du) as LieElements over the field."""
-    return tuple(
-        LieElement.of(ring, **{name: 1})
-        for name in ("ds", "dr", "dt", "du"))
+    return tuple(LieElement.of(ring, **{name: 1}) for name in LIE_NAMES)
 
 
 def lie_matrix(xi: LieElement):

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 import types
 
 import pytest
 
-from tatemirror import cli
+from tatemirror import cli, weierstrass
 
 
 def run(args, capsys):
@@ -43,6 +44,8 @@ class TestExitCodes:
         ["hochschild", "--window", "3,5"],
         ["hochschild", "--char", "4"],
         ["lie-brackets", "--char", "1"],
+        ["verify-lattice", "--max-degree", "-3"],
+        ["verify-theta", "--max-degree", "-3"],
     ], ids=" ".join)
     def test_bad_parameter_exits_2_with_usage(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -138,6 +141,34 @@ class TestLieSuites:
         if char in (2, 3):
             adj = next(c for c in doc["checks"] if c["id"] == "adjoint-table")
             assert adj["actual"] == "global sign 1"
+
+    @staticmethod
+    def check(report, check_id):
+        return next(c for c in report.checks if c.id == check_id)
+
+    def test_extra_ds_component_fails_degree_one_table(self, monkeypatch):
+        # characteristic 3 labels no generator by ds, so only a whole-vector
+        # comparison sees the extra component
+        original = weierstrass.lie_bracket
+
+        def skewed(xi, eta):
+            br = original(xi, eta)
+            return dataclasses.replace(br, ds=xi.ring.add(br.ds, xi.ring.one()))
+
+        monkeypatch.setattr(weierstrass, "lie_bracket", skewed)
+        report = cli.run_lie_suite(3)
+        assert self.check(report, "degree-one-bracket-table").status == "fail"
+
+    def test_adjoint_component_outside_labels_is_a_failed_check(self, monkeypatch):
+        original = weierstrass.adjoint_bracket
+
+        def skewed(xi, w):
+            vec = original(xi, w)
+            return [xi.ring.add(vec[0], xi.ring.one())] + vec[1:]  # along a1
+
+        monkeypatch.setattr(weierstrass, "adjoint_bracket", skewed)
+        report = cli.run_lie_suite(3)
+        assert self.check(report, "adjoint-table").status == "fail"
 
 
 class TestEveryPrime:

@@ -138,6 +138,13 @@ def test_reduction_commutes_with_arithmetic(a, b, p):
         assert direct == via_z
 
 
+@settings(max_examples=150, deadline=None)
+@given(z_series(), z_series(), st.sampled_from([2, 3, 5, 7, 11]))
+def test_product_commutes_with_reduction(s, t, p):
+    fp = GF(p)
+    assert (s * t).to_ring(fp) == s.to_ring(fp) * t.to_ring(fp)
+
+
 class TestDivisorPowerSum:
     def test_small_values(self):
         assert divisor_power_sum(3, 1) == 1

@@ -80,21 +80,38 @@ class TestKoszulMiddle:
         cusp, node = rings(char)
         for ring in (cusp, node):
             tdim, _ = hh.tjurina_dim(ring)
-            assert hh.koszul_h1_dim(ring) == tdim
+            kdim, _ = hh.koszul_h1_dim(ring)
+            assert kdim == tdim
 
     @pytest.mark.parametrize("char", CHARS)
     def test_generator_count_equals_dimension(self, char):
         for ring in rings(char):
-            assert len(hh.koszul_middle_generators(ring)) == hh.koszul_h1_dim(ring)
+            kdim, pairs = hh.koszul_h1_dim(ring)
+            assert len(pairs) == kdim
 
     def test_generator_pairs_are_syzygies(self):
         for char in CHARS:
             cusp, node = rings(char)
             for ring in (cusp, node):
                 fx, fy = ring.f_x(), ring.f_y()
-                for a1, a2 in hh.koszul_middle_generators(ring):
+                for a1, a2 in hh.koszul_h1_dim(ring)[1]:
                     combo = ring.add(ring.mul(a1, fx), ring.mul(a2, fy))
                     assert combo == {}
+
+
+class TestSingleKoszulPass:
+    def test_suite_builds_each_window_once(self, monkeypatch):
+        from tatemirror import cli
+        calls = []
+        original = hh._koszul_at
+
+        def recording(ring, report_weight):
+            calls.append(("cusp" if ring.is_cusp else "node", report_weight))
+            return original(ring, report_weight)
+
+        monkeypatch.setattr(hh, "_koszul_at", recording)
+        assert cli.run_hochschild_suite(5).passed
+        assert calls == [("cusp", 20), ("cusp", 24), ("node", 20), ("node", 24)]
 
 
 class TestOmegaPairing:
@@ -102,7 +119,7 @@ class TestOmegaPairing:
     def test_vanishes_for_both_curves(self, char):
         cusp, node = rings(char)
         for ring in (cusp, node):
-            gens = hh.koszul_middle_generators(ring)
+            _, gens = hh.koszul_h1_dim(ring)
             matrix = hh.omega_pairing(ring, gens)
             assert all(entry == {} for row in matrix for entry in row)
 
@@ -128,7 +145,7 @@ class TestOmegaPairing:
 
     def test_diagonal_always_zero(self):
         cusp, _ = rings(0)
-        gens = hh.koszul_middle_generators(cusp)
+        _, gens = hh.koszul_h1_dim(cusp)
         matrix = hh.omega_pairing(cusp, gens)
         for i in range(len(gens)):
             assert matrix[i][i] == {}
