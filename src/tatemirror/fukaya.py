@@ -4,8 +4,9 @@ Degree-n generators are indexed by (1/n)Z mod Z, matching the intersections
 of the horizontal line with a line of slope -n.  Products are sums over
 immersed triangles: one per integer shift j, weighted by q to the number of
 perturbed lattice points inside the planar lift and signed by the parity of
-boundary stars.  Elements share the section ring's basis and type
-(``FloerElement`` is ``theta.ThetaElement``); only the basis product differs.
+boundary stars, which is always even, so every sign is +1.  Elements share
+the section ring's basis and type (``FloerElement`` is
+``theta.ThetaElement``); only the basis product differs.
 The q-exponents come from lattice counting only; the section-ring
 multiplication rule is consulted only by the q = 0 cross-check in
 ``dehn_table_q0``.
@@ -81,8 +82,8 @@ def enumerate_triangles(n1: int, p1, n2: int, p2, order: int):
 
 
 def _floer_terms(n1: int, p1, n2: int, p2, order: int):
-    """Floer basis product: one signed q-power per immersed triangle."""
-    return [(CyclicPoint.from_fraction(n1 + n2, tri.vertices[2][0]), tri.q_exponent, tri.sign)
+    """Floer basis product: one q-power per immersed triangle (every sign is +1)."""
+    return [(CyclicPoint.from_fraction(n1 + n2, tri.vertices[2][0]), tri.q_exponent)
             for tri in enumerate_triangles(n1, p1, n2, p2, order)]
 
 
@@ -205,53 +206,50 @@ def relation_kernel(order: int):
     """Coefficients (c1..c7) of the unique relation among the seven
     degree-6 monomials, normalized so the y'^2 coefficient is 1.
 
-    Solved order by order in q against the q = 0 coefficient matrix; the
-    kernel must be exactly one-dimensional at every order.  Returns a list
-    of seven rational q-series.
+    At q = 0 the relation space must be one-dimensional and involve y'^2.
+    The 6x6 block of the q = 0 matrix without the y'^2 column is then
+    inverted once over QQ; its inverse must be integral (determinant +-1),
+    so every q-order is one integer matrix-vector product and the relation
+    is integral by construction.  Returns a list of seven integer q-series.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     monos = _degree_six_monomials(order)
     slots = graded_basis(6)
-    # per-q-order rational matrices, 7 monomials x 6 slots
-    mats = []
-    for d in range(order):
-        mats.append([[Fraction(m.coeffs[pt].coeffs[d]) for pt in slots]
-                     for m in monos])
+    # entries[row][col]: the q-coefficients of monomial row in slot col
+    entries = [[m.coeffs[pt].coeffs for pt in slots] for m in monos]
 
-    m0t = transpose(mats[0])
+    m0t = transpose([[Fraction(e[0]) for e in row] for row in entries])
     kernel = nullspace(m0t, QQ)
     if len(kernel) != 1:
         raise VerificationFailure(
             f"relation space at q=0 has dimension {len(kernel)}, expected 1")
-    c0 = kernel[0]
-    if c0[0] == 0:
+    if kernel[0][0] == 0:
         raise VerificationFailure("relation does not involve y'^2")
-    c0 = [v / c0[0] for v in c0]
+    block = [row[1:] for row in m0t]
+    inverse = transpose([solve_right(block, [Fraction(int(i == k)) for i in range(6)], QQ)
+                         for k in range(6)])
+    if any(v.denominator != 1 for row in inverse for v in row):
+        raise VerificationFailure(
+            "q=0 block without y'^2 is not unimodular; the relation is not integral")
+    inverse = [[int(v) for v in row] for row in inverse]
 
-    cs = [c0]
-    for m in range(1, order):
-        rhs = [Fraction(0)] * 6
-        for i in range(1, m + 1):
-            ci = cs[m - i]
-            for row in range(7):
-                if ci[row]:
-                    for col in range(6):
-                        rhs[col] -= ci[row] * mats[i][row][col]
-        sol = solve_right(m0t, rhs, QQ)
-        if sol is None:
-            raise VerificationFailure(f"relation does not extend to order {m}")
-        sol = [v - sol[0] * w for v, w in zip(sol, c0)]
-        cs.append(sol)
+    cs = []  # cs[m][row]: the q^m coefficient of the relation at monomial row
+    for m in range(order):
+        cs.append([int(m == 0)] + [0] * 6)  # y'^2 fixed at 1; the rest still unknown
+        rhs = [-sum(cs[m - i][row] * entries[row][col][i]
+                    for i in range(m + 1) for row in range(7) if cs[m - i][row])
+               for col in range(6)]
+        cs[m][1:] = [sum(b * v for b, v in zip(brow, rhs)) for brow in inverse]
 
-    series = [QSeries.make(QQ, order, [cs[d][i] for d in range(order)])
+    series = [QSeries.make(ZZ, order, [cs[d][i] for d in range(order)])
               for i in range(7)]
 
     # residual must vanish identically below the truncation order
     for pt in slots:
-        total = QSeries.zero(QQ, order)
+        total = QSeries.zero(ZZ, order)
         for i in range(7):
-            total = total + series[i] * monos[i].coeffs[pt].to_ring(QQ)
+            total = total + series[i] * monos[i].coeffs[pt]
         if not total.is_zero():
             raise VerificationFailure(f"relation residual nonzero in slot {pt!r}")
     return series
@@ -283,10 +281,7 @@ def mirror_weierstrass(order: int) -> MirrorResult:
     sliced by pinning a4 to the divisor-power-sum expansion -5*sum s3(n)q^n,
     after which a6 is forced and is the substantive output of the map.
     """
-    series = relation_kernel(order)
-    if not relation_is_integral(series):
-        raise VerificationFailure("relation coefficients are not integral")
-    c = [s.to_ring(ZZ) for s in series]
+    c = relation_kernel(order)
     f = -c[1]
     if not f.is_unit:
         raise VerificationFailure(f"x'^3 coefficient {c[1]!r} is not a unit")
@@ -298,7 +293,7 @@ def mirror_weierstrass(order: int) -> MirrorResult:
     g = weierstrass.reparam_compose(g2, g1)
     if weierstrass.reparam_apply(g, raw) != curve:
         raise VerificationFailure("composed normalization disagrees")
-    return MirrorResult(series, f, raw, g, curve)
+    return MirrorResult(c, f, raw, g, curve)
 
 
 def seidel_mirror(order: int) -> weierstrass.WeierstrassCoeffs:

@@ -185,9 +185,9 @@ class ThetaElement:
     def bilinear(self, other: "ThetaElement", terms) -> "ThetaElement":
         """Bilinear extension of a product of basis elements.
 
-        ``terms(n1, p1, n2, p2, order)`` yields ``(target slot, q-exponent,
-        sign)`` for each term of the product of the basis elements at p1 and
-        p2; exponents are below the truncation order.
+        ``terms(n1, p1, n2, p2, order)`` yields ``(target slot, q-exponent)``
+        for each term of the product of the basis elements at p1 and p2;
+        exponents are below the truncation order and every term has sign +1.
         """
         self._check(other, same_degree=False)
         n1, n2, order = self.degree, other.degree, self.order
@@ -200,9 +200,8 @@ class ThetaElement:
                 if c2.is_zero():
                     continue
                 c12 = c1 * c2
-                for target, exponent, sign in terms(n1, p1, n2, pt2.as_fraction(), order):
-                    term = c12.shift(exponent)
-                    out[target] = out[target] + (term if sign == 1 else -term)
+                for target, exponent in terms(n1, p1, n2, pt2.as_fraction(), order):
+                    out[target] = out[target] + c12.shift(exponent)
         return ThetaElement(n1 + n2, order, out)
 
 
@@ -214,7 +213,7 @@ def _section_terms(n1: int, p1, n2: int, p2, order: int):
             raise InvariantError(f"exponent {lam} at ({n1},{p1};{n2},{p2 + j})")
         if lam < order:
             yield (CyclicPoint.from_fraction(n1 + n2, weighted_mean(n1, p1, n2, p2 + j)),
-                   int(lam), 1)
+                   int(lam))
 
 
 def theta_mul(x: ThetaElement, y: ThetaElement) -> ThetaElement:

@@ -307,27 +307,34 @@ def tate_normalize(w: WeierstrassCoeffs):
     return g, out
 
 
-def normal_form_stabilizer(order: int, m: int, w: int) -> Reparam:
-    """The integral reparametrization with s = 6*w*q^m preserving (1, 0, 0, *, *).
+def normal_form_stabilizer(s: QSeries) -> Reparam:
+    """The integral reparametrization with parameter series s preserving (1, 0, 0, *, *).
 
-    These elements generate the residual gauge of the normal form: u = 1 + 2s,
-    3r = s + s^2 and 2t = -r, all exactly integral by the choice of stride.
+    These are all the elements fixing that shape: u = 1 + 2s, 3r = s + s^2 and
+    2t = -r; the divisions by 3 and 2 must be exact (s in 6*q*Z[[q]] suffices).
     """
-    if not 1 <= m < order:
-        raise ValueError("stabilizer steps start at q^1")
-    s = QSeries.make(ZZ, order, [0] * m + [6 * w])
     r = (s + s * s).exact_div(3)
     t = (-r).exact_div(2)
-    return Reparam(QSeries.one(ZZ, order) + s * 2, s, r, t)
+    return Reparam(s * 2 + 1, s, r, t)
+
+
+def _lift_quadratic(d: QSeries, c: int) -> QSeries:
+    """The unique x with x(0) = 0 and x + c*x^2 = d, for d(0) = 0, order by order over Z."""
+    x = [0] * d.order
+    for m in range(1, d.order):
+        x[m] = d.coeffs[m] - c * sum(x[i] * x[m - i] for i in range(1, m))
+    return QSeries.make(ZZ, d.order, x)
 
 
 def match_quartic_gauge(w: WeierstrassCoeffs, a4_target: QSeries):
     """Slice the residual gauge of a normal form by pinning its a4 series.
 
-    A curve in the shape (1, 0, 0, a4, a6) is preserved by the stabilizer
-    elements above, which shift the order-m coefficient of a4 by any integer
-    while fixing everything below when a4(0) = 0; the normal form with a
-    prescribed a4 is then unique.  Returns (g, w') with w'.a4 equal to the target.
+    A curve in the shape (1, 0, 0, a4, a6) is preserved exactly by the
+    stabilizers above, and c4 = 1 - 48*a4 scales by u^-4 under them.  With
+    v = s + s^2 and target T the slice is the single equation
+    (1 - 48T)(v + 2v^2) = 6(T - a4), solved for v and then s by two integral
+    lifts when a4(0) = 0; the normal form with a prescribed a4 is then unique.
+    Returns (g, w') with w'.a4 equal to the target.
     """
     order = w.a1.order
     one = QSeries.one(ZZ, order)
@@ -336,19 +343,16 @@ def match_quartic_gauge(w: WeierstrassCoeffs, a4_target: QSeries):
         raise ValueError("gauge matching expects a curve in normal form")
     if a4_target.coeffs[0] != w.a4.coeffs[0]:
         raise NormalizationFailure(0, "constant quartic coefficients differ")
-    g = Reparam.identity_like(w.a1)
-    current = w
-    # weight k at order m fixes lower orders and moves a4 at q^m by k*(1 - 48*a4(0))
+    if w.a4 == a4_target:
+        return Reparam.identity_like(w.a1), w
+    # s = 6k*q^m fixes lower orders and moves a4 at q^m by k*(1 - 48*a4(0))
     step = 1 - 48 * w.a4.coeffs[0]
-    for m in range(1, order):
-        diff = a4_target.coeffs[m] - current.a4.coeffs[m]
-        if diff == 0:
-            continue
-        if step != 1:
-            raise InvariantError(f"stabilizer step {step} at order {m}")
-        gm = normal_form_stabilizer(order, m, diff)
-        current = reparam_apply(gm, current)
-        g = reparam_compose(gm, g)
+    if step != 1:
+        m = next(m for m in range(order) if a4_target.coeffs[m] != w.a4.coeffs[m])
+        raise InvariantError(f"stabilizer step {step} at order {m}")
+    d = ((a4_target - w.a4) * 6) * (one - a4_target * 48).invert()
+    g = normal_form_stabilizer(_lift_quadratic(_lift_quadratic(d, 2), 1))
+    current = reparam_apply(g, w)
     if current.a4 != a4_target:
         raise InvariantError("gauge matching failed to reach the target")
     return g, current

@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from tatemirror import fukaya, lattice, theta, weierstrass
+from tatemirror import cli, fukaya, lattice, theta, weierstrass
+from tatemirror.errors import VerificationFailure
 from tatemirror.exactnum import ZZ, QSeries, divisor_power_sum
 
 
@@ -55,6 +57,8 @@ class TestStarCount:
             for tri in fukaya.enumerate_triangles(n1, p1, n2, p2, 6):
                 assert fukaya.star_count(tri) % 2 == 0
                 assert tri.sign == 1
+                # the mean lies between p1 and p2 + j: the short arcs add up to the long one
+                assert tri.stars == 2 * abs(math.ceil(p2 + tri.j) - math.ceil(p1))
 
 
 class TestFloerProduct:
@@ -142,6 +146,22 @@ class TestRelationKernel:
 
     def test_integrality(self):
         assert fukaya.relation_is_integral(fukaya.relation_kernel(6))
+
+    def test_non_unimodular_block_is_rejected(self, monkeypatch):
+        # doubling x'^3 leaves a one-dimensional relation space whose
+        # x'^3 coefficient is 1/2: the q=0 block has determinant -2
+        monomials = fukaya._degree_six_monomials
+
+        def doubled(order):
+            monos = monomials(order)
+            monos[1] = monos[1].scale(2)
+            return monos
+
+        monkeypatch.setattr(fukaya, "_degree_six_monomials", doubled)
+        with pytest.raises(VerificationFailure, match="not unimodular"):
+            fukaya.relation_kernel(4)
+        report = cli.run_mirror_suite(4)
+        assert [(c.id, c.status) for c in report.checks] == [("mirror-construction", "fail")]
 
     def test_residual_vanishes(self):
         # recompute the residual directly from the monomials

@@ -223,8 +223,9 @@ class TestQuarticGauge:
     def test_pins_and_is_idempotent(self):
         order = 6
         w = ws.tate_curve(order)
-        moved = ws.reparam_apply(ws.normal_form_stabilizer(order, 1, 3), w)
-        moved = ws.reparam_apply(ws.normal_form_stabilizer(order, 2, -2), moved)
+        moved = ws.reparam_apply(ws.normal_form_stabilizer(QSeries.make(ZZ, order, [0, 18])), w)
+        moved = ws.reparam_apply(ws.normal_form_stabilizer(QSeries.make(ZZ, order, [0, 0, -12])),
+                                 moved)
         assert moved.a1 == w.a1 and moved.a2 == w.a2 and moved.a3 == w.a3
         assert moved.a4 != w.a4
         g, back = ws.match_quartic_gauge(moved, w.a4)
@@ -232,6 +233,19 @@ class TestQuarticGauge:
         g2, again = ws.match_quartic_gauge(back, w.a4)
         assert again == back
         assert g2 == ws.Reparam.identity_like(w.a1)
+
+    def test_undoes_any_stabilizer(self):
+        # a stabilizer built from a whole series s moves a4 at every order at once
+        order = 12
+        tate = ws.tate_curve(order)
+        identity = ws.Reparam.identity_like(tate.a1)
+        rng = random.Random(41)
+        for _ in range(30):
+            s = QSeries.make(ZZ, order, [0] + [6 * rng.randint(-4, 4) for _ in range(order - 1)])
+            h = ws.normal_form_stabilizer(s)
+            g, back = ws.match_quartic_gauge(ws.reparam_apply(h, tate), tate.a4)
+            assert back == tate
+            assert ws.reparam_compose(g, h) == identity
 
     def test_requires_normal_form(self):
         order = 3
