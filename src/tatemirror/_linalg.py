@@ -1,42 +1,53 @@
 """Dense exact linear algebra over a field Ring (QQ or GF(p)).
 
-Matrices are lists of row lists of raw field values.  Everything is small
-here, so plain Gaussian elimination is used throughout.
+Matrices are lists of row lists of raw field values.  QQ and GF(p) share one
+integer elimination; only its finished pivot rows become field values again.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
 
 from .exactnum import Ring
 
 
 def rref(rows, ring: Ring):
-    """Reduced row echelon form.  Returns (new_rows, pivot_columns)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return m, []
-    ncols = len(m[0])
+    """Reduced row echelon form.  Returns (nonzero_rows, pivot_columns).
+
+    Each step sets a row to a*row - b*pivot over the integers, then divides it
+    by its gcd (QQ, after clearing denominators) or reduces it mod p (GF(p)).
+    """
+    p = ring.p if ring.kind == "GF" else 0
+
+    def primitive(row):
+        g = gcd(*row)
+        return [x // g for x in row] if g > 1 else row
+
+    def integral(row):
+        d = lcm(*[x.denominator for x in row])
+        return primitive([x.numerator * (d // x.denominator) for x in row])
+
+    m = [[x % p for x in row] if p else integral(row) for row in rows]
     pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(m)):
-            if m[i][c] != ring.zero():
-                pr = i
-                break
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = ring.invert(m[r][c])
-        m[r] = [ring.mul(inv, x) for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != ring.zero():
-                f = m[i][c]
-                m[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(m[i], m[r])]
+        prow = m[r]
+        for i, row in enumerate(m):
+            if i != r and row[c]:
+                g = gcd(prow[c], row[c])
+                a, b = prow[c] // g, row[c] // g
+                m[i] = ([(a * x - b * y) % p for x, y in zip(row, prow)] if p
+                        else primitive([a * x - b * y for x, y in zip(row, prow)]))
         pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+    for r, c in enumerate(pivots):  # GF(p): times the inverse; QQ: over the pivot
+        a = pow(m[r][c], -1, p) if p else m[r][c]
+        m[r] = [x * a % p for x in m[r]] if p else [Fraction(x, a) for x in m[r]]
+    return m[: len(pivots)], pivots
 
 
 def rank(rows, ring: Ring) -> int:

@@ -109,9 +109,7 @@ class Ring:
             raise NonUnitError(f"{a} is not a unit of {self!r}")
         if self.kind == "ZZ":
             return a
-        if self.kind == "QQ":
-            return 1 / a
-        return pow(a, -1, self.p)
+        return Fraction(1) / a if self.kind == "QQ" else pow(a, -1, self.p)
 
 
 ZZ = Ring("ZZ")

@@ -219,7 +219,7 @@ def relation_kernel(order: int):
     # entries[row][col]: the q-coefficients of monomial row in slot col
     entries = [[m.coeffs[pt].coeffs for pt in slots] for m in monos]
 
-    m0t = transpose([[Fraction(e[0]) for e in row] for row in entries])
+    m0t = transpose([[e[0] for e in row] for row in entries])
     kernel = nullspace(m0t, QQ)
     if len(kernel) != 1:
         raise VerificationFailure(
@@ -227,7 +227,7 @@ def relation_kernel(order: int):
     if kernel[0][0] == 0:
         raise VerificationFailure("relation does not involve y'^2")
     block = [row[1:] for row in m0t]
-    inverse = transpose([solve_right(block, [Fraction(int(i == k)) for i in range(6)], QQ)
+    inverse = transpose([solve_right(block, [int(i == k) for i in range(6)], QQ)
                          for k in range(6)])
     if any(v.denominator != 1 for row in inverse for v in row):
         raise VerificationFailure(

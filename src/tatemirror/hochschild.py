@@ -171,8 +171,7 @@ class _Span:
         self.columns = _columns(ring, report_weight, len(gens[0]))
         self.index = {c: i for i, c in enumerate(self.columns)}
         rows = _multiple_rows(ring, gens, ring.monomials(report_weight), self.columns)
-        rows, self.pivots = _linalg.rref(rows, ring.field)
-        self.rows = rows[: len(self.pivots)]
+        self.rows, self.pivots = _linalg.rref(rows, ring.field)
 
     def _low(self, col: int) -> bool:
         return weight(self.columns[col][1]) <= self.report_weight
@@ -218,26 +217,18 @@ def _koszul_at(ring: PlaneCurveRing, report_weight: int):
     fx, fy = ring.f_x(), ring.f_y()
     source = ring.monomials(report_weight)
     # kernel of (alpha1, alpha2) -> alpha1*f_x + alpha2*f_y on the window,
-    # rows by ascending weight: over QQ the elimination is faster that way
+    # rows by ascending weight: a quarter of the row updates of descending order
     matrix = _linalg.transpose(_multiple_rows(
         ring, [(fx,), (fy,)], source, _columns(ring, report_weight, 1)))[::-1]
     kernel = [tuple({source[i]: v for i, v in enumerate(half) if v != field.zero()}
                     for half in (vec[: len(source)], vec[len(source):]))
               for vec in _linalg.nullspace(matrix, field)]
     boundary = _Span(ring, [(fy, ring.scale(fx, -1))], report_weight)
-    dim = len(kernel) - boundary.low_rank()
-
-    pairs = []
-    span, span_pivots = boundary.rows, boundary.pivots
-    for pair in kernel:
-        red = _linalg.reduce_mod_span(
-            span, span_pivots, _vector(boundary.index, pair, field), field)
-        if all(v == field.zero() for v in red):
-            continue
-        pairs.append(pair)
-        red_rows, span_pivots = _linalg.rref(span + [red], field)
-        span = red_rows[: len(span_pivots)]
-    return dim, pairs
+    # generators: the kernel pairs independent of the boundary and earlier pairs
+    stack = boundary.rows + [_vector(boundary.index, pair, field) for pair in kernel]
+    _, pivots = _linalg.rref(_linalg.transpose(stack), field)
+    n = len(boundary.rows)
+    return len(kernel) - boundary.low_rank(), [kernel[c - n] for c in pivots if c >= n]
 
 
 def koszul_h1_dim(ring: PlaneCurveRing, bound: int = 10):

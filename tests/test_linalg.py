@@ -1,0 +1,120 @@
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tatemirror._linalg import nullspace, rank, reduce_mod_span, rref, solve_right
+from tatemirror.exactnum import GF, QQ
+
+FIELDS = (QQ, GF(2), GF(3), GF(7))
+
+
+def entries(ring):
+    if ring is QQ:
+        return st.one_of(st.integers(-6, 6),
+                         st.fractions(min_value=-6, max_value=6, max_denominator=5))
+    return st.integers(0, ring.p - 1)
+
+
+@st.composite
+def matrices(draw):
+    """A field and a small matrix over it, with zero and repeated rows mixed in."""
+    ring = draw(st.sampled_from(FIELDS))
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(entries(ring), min_size=ncols, max_size=ncols),
+                         max_size=6))
+    if rows and draw(st.booleans()):
+        k = ring.coerce(draw(st.integers(1, 4)))
+        rows.append([ring.mul(k, ring.coerce(x)) for x in rows[0]])
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * ncols)
+    return ring, ncols, rows
+
+
+def dot(ring, u, v):
+    total = ring.zero()
+    for a, b in zip(u, v):
+        total = ring.add(total, ring.mul(ring.coerce(a), ring.coerce(b)))
+    return total
+
+
+def is_zero(ring, vec):
+    return all(ring.coerce(x) == ring.zero() for x in vec)
+
+
+def field_type(ring):
+    return Fraction if ring is QQ else int
+
+
+class TestRref:
+    @settings(max_examples=200, deadline=None)
+    @given(matrices())
+    def test_output_is_reduced_echelon(self, case):
+        ring, ncols, rows = case
+        red, pivots = rref(rows, ring)
+        assert len(red) == len(pivots)
+        assert pivots == sorted(set(pivots))
+        for row, pc in zip(red, pivots):
+            assert len(row) == ncols
+            assert all(type(x) is field_type(ring) for x in row)
+            assert all(x == ring.zero() for x in row[:pc])
+            assert row[pc] == ring.one()
+        for i, pc in enumerate(pivots):
+            assert all(red[j][pc] == ring.zero() for j in range(len(red)) if j != i)
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrices())
+    def test_rows_span_the_input(self, case):
+        ring, _, rows = case
+        red, pivots = rref(rows, ring)
+        for row in rows:
+            assert is_zero(ring, reduce_mod_span(red, pivots, [ring.coerce(x) for x in row],
+                                                 ring))
+        assert len(red) == rank(rows, ring) == rank(rows + red, ring)
+
+    def test_zero_and_multiple_rows_over_qq(self):
+        assert rref([[0, 0], [0, 0]], QQ) == ([], [])
+        assert rref([[2, 4], [1, 2], [0, 0]], QQ) == ([[1, 2]], [0])
+        red, pivots = rref([[Fraction(1, 2), 1, 0], [0, 0, 0], [Fraction(3, 2), 3, 0]], QQ)
+        assert (red, pivots) == ([[1, 2, 0]], [0])
+
+
+class TestNullspaceAndSolve:
+    @settings(max_examples=200, deadline=None)
+    @given(matrices())
+    def test_nullspace_is_annihilated_and_complements_the_rank(self, case):
+        ring, ncols, rows = case
+        basis = nullspace(rows, ring)
+        for vec in basis:
+            assert all(dot(ring, row, vec) == ring.zero() for row in rows)
+        if rows:
+            assert rank(rows, ring) + len(basis) == ncols
+            assert rank(basis, ring) == len(basis)
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrices(), st.data())
+    def test_solve_right_solves_when_it_returns(self, case, data):
+        ring, ncols, rows = case
+        rhs = [data.draw(entries(ring)) for _ in rows]
+        x = solve_right(rows, rhs, ring)
+        if x is not None:
+            assert [dot(ring, row, x) for row in rows] == [ring.coerce(b) for b in rhs]
+        x0 = [data.draw(entries(ring)) for _ in range(ncols)]
+        image = [dot(ring, row, x0) for row in rows]
+        x = solve_right(rows, image, ring)
+        assert x is not None
+        assert [dot(ring, row, x) for row in rows] == image
+
+
+class TestExactOverQQ:
+    def test_invert_of_an_int_is_a_fraction(self):
+        assert QQ.invert(3) == Fraction(1, 3)
+        assert type(QQ.invert(3)) is Fraction
+
+    def test_integer_input_gives_fractions(self):
+        (vec,) = nullspace([[2, 1]], QQ)
+        assert vec == [Fraction(-1, 2), 1]
+        assert all(type(v) is Fraction for v in vec)
+        x = solve_right([[3]], [1], QQ)
+        assert x == [Fraction(1, 3)]
+        assert all(type(v) is Fraction for v in x)
