@@ -86,6 +86,23 @@ def solve_right(rows, rhs, ring: Ring):
     return x
 
 
+def det(rows) -> int:
+    """Integer determinant by fraction-free (Bareiss) elimination; `//` is exact."""
+    m = [list(row) for row in rows]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        for i in range(k + 1, n):
+            m[i] = m[i][:k + 1] + [(m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+                                   for j in range(k + 1, n)]
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
+
+
 def transpose(rows):
     return [list(col) for col in zip(*rows)] if rows else []
 

@@ -4,11 +4,17 @@ Each subcommand runs one verification suite and writes a single JSON
 document: one object per check with fields {id, anchor, status, expected,
 actual}, plus the suite name, parameters and wall-clock duration.  The
 process exits 0 only if every check passed.
+
+Each suite is a generator of (id, anchor, ok, expected, actual) checks whose
+signature alone holds its defaults; ``_suite`` makes it a report function,
+and turns an exception escaping it into one failed check named after it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import inspect
 import json
 import sys
 import time
@@ -59,10 +65,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.status == "pass" for c in self.checks)
 
-    def add(self, id: str, anchor: str, ok: bool, expected=None, actual=None):
-        self.checks.append(CheckRecord(
-            id, anchor, "pass" if ok else "fail", expected, actual))
-
     def to_dict(self):
         return {"suite": self.suite, "params": self.params,
                 "passed": self.passed,
@@ -70,7 +72,39 @@ class VerificationReport:
                 "duration_seconds": self.duration_seconds}
 
 
-def run_lattice_suite(max_degree: int = 12, exponent_cap: int = 12) -> VerificationReport:
+def _suite(name: str):
+    """Make a check generator into a suite returning a VerificationReport whose
+    params are the call's arguments with defaults applied.  An exception that
+    escapes the generator is one failed check, after those already yielded."""
+    def decorate(checks):
+        @functools.wraps(checks)
+        def suite(*args, **kwargs):
+            call = inspect.signature(checks).bind(*args, **kwargs)
+            call.apply_defaults()
+            report = VerificationReport(name, dict(call.arguments))
+            try:
+                for id, anchor, ok, expected, actual in checks(*call.args, **call.kwargs):
+                    report.checks.append(CheckRecord(
+                        id, anchor, "pass" if ok else "fail", expected, actual))
+            except Exception as e:
+                sys.excepthook(*sys.exc_info())  # the traceback, to stderr
+                report.checks.append(CheckRecord(
+                    name, "suite-completes", "fail", actual=f"{type(e).__name__}: {e}"))
+            return report
+        return suite
+    return decorate
+
+
+def _basis_grid(max_degree: int):
+    """Each degree pair with n1 + n2 <= max_degree, with its basis point pairs."""
+    for n1 in range(1, max_degree):
+        for n2 in range(1, max_degree + 1 - n1):
+            yield n1, n2, [(Fraction(m1, n1), Fraction(m2, n2))
+                           for m1 in range(n1) for m2 in range(n2)]
+
+
+@_suite("verify-lattice")
+def run_lattice_suite(max_degree: int = 12, exponent_cap: int = 12):
     """Three-way equality of triangle counts on the basis grid.
 
     For every pair of degrees summing to at most max_degree, every basis
@@ -78,101 +112,72 @@ def run_lattice_suite(max_degree: int = 12, exponent_cap: int = 12) -> Verificat
     perturbed-point count, the row-by-row closed formula and the
     piecewise-linear exponent must agree exactly.
     """
-    report = VerificationReport("verify-lattice", {
-        "max_degree": max_degree, "exponent_cap": exponent_cap})
-    for n1 in range(1, max_degree):
-        for n2 in range(1, max_degree + 1 - n1):
-            triangles = 0
-            mismatches = []
-            for m1 in range(n1):
-                for m2 in range(n2):
-                    p1 = Fraction(m1, n1)
-                    p2 = Fraction(m2, n2)
-                    for j in theta.j_range(n1, p1, n2, p2, exponent_cap + 1):
-                        lam = theta.lambda_exp(n1, p1, n2, p2 + j)
-                        if lam > exponent_cap:
-                            continue
-                        triangles += 1
-                        count = lattice.count_perturbed(n1, p1, n2, p2 + j)
-                        row = lattice.row_formula_count(n1, p1, n2, p2 + j)
-                        if not (count == row == lam):
-                            mismatches.append((str(p1), str(p2 + j), count, row, str(lam)))
-            report.add(f"counts-{n1}-{n2}", "lattice-points-equal-exponent",
-                       not mismatches,
-                       expected=f"3-way agreement on {triangles} triangles",
-                       actual=mismatches or f"agree on {triangles} triangles")
+    for n1, n2, points in _basis_grid(max_degree):
+        triangles, mismatches = 0, []
+        for p1, p2 in points:
+            for j in theta.j_range(n1, p1, n2, p2, exponent_cap + 1):
+                lam = theta.lambda_exp(n1, p1, n2, p2 + j)
+                if lam > exponent_cap:
+                    continue
+                triangles += 1
+                count = lattice.count_perturbed(n1, p1, n2, p2 + j)
+                row = lattice.row_formula_count(n1, p1, n2, p2 + j)
+                if not (count == row == lam):
+                    mismatches.append((str(p1), str(p2 + j), count, row, str(lam)))
+        yield (f"counts-{n1}-{n2}", "lattice-points-equal-exponent", not mismatches,
+               f"3-way agreement on {triangles} triangles",
+               mismatches or f"agree on {triangles} triangles")
     if max_degree >= 2:
         # translation invariance on a small diagonal family
         shifts_ok = all(
             lattice.count_perturbed(n1, Fraction(1, n1) + 1, n2, Fraction(1, n2) + j + 1)
             == lattice.count_perturbed(n1, Fraction(1, n1), n2, Fraction(1, n2) + j)
             for n1 in range(1, 5) for n2 in range(1, 5) for j in range(-3, 4))
-        report.add("translation-invariance", "counts-shift-invariant", shifts_ok)
-    return report
+        yield "translation-invariance", "counts-shift-invariant", shifts_ok, None, None
 
 
-def run_theta_suite(order: int = 10, max_degree: int = 12) -> VerificationReport:
+@_suite("verify-theta")
+def run_theta_suite(order: int = 10, max_degree: int = 12):
     """Floer products equal section-ring products on the whole basis grid."""
-    report = VerificationReport("verify-theta", {
-        "order": order, "max_degree": max_degree})
-    for n1 in range(1, max_degree):
-        for n2 in range(1, max_degree + 1 - n1):
-            pairs = 0
-            mismatches = []
-            for m1 in range(n1):
-                for m2 in range(n2):
-                    p1, p2 = Fraction(m1, n1), Fraction(m2, n2)
-                    pairs += 1
-                    flo = fukaya.floer_product(n1, p1, n2, p2, order)
-                    the = theta.theta_mul(theta.ThetaElement.basis(n1, p1, order),
-                                          theta.ThetaElement.basis(n2, p2, order))
-                    if flo != the:
-                        mismatches.append((str(p1), str(p2)))
-            report.add(f"mirror-product-{n1}-{n2}", "floer-equals-section-product",
-                       not mismatches,
-                       expected=f"coefficient maps equal on {pairs} pairs",
-                       actual=mismatches or f"equal on {pairs} pairs")
-    return report
+    basis = theta.ThetaElement.basis
+    for n1, n2, points in _basis_grid(max_degree):
+        mismatches = [(str(p1), str(p2)) for p1, p2 in points
+                      if fukaya.floer_product(n1, p1, n2, p2, order)
+                      != theta.theta_mul(basis(n1, p1, order), basis(n2, p2, order))]
+        yield (f"mirror-product-{n1}-{n2}", "floer-equals-section-product", not mismatches,
+               f"coefficient maps equal on {len(points)} pairs",
+               mismatches or f"equal on {len(points)} pairs")
 
 
-def run_dehn_suite() -> VerificationReport:
+@_suite("dehn-table")
+def run_dehn_suite():
     """The seven exact products and the degree-6 relation at q = 0."""
-    report = VerificationReport("dehn-table", {})
-    try:
-        for rec in fukaya.dehn_table_q0():
-            report.add(rec["id"], "exact-twist-ring-table", rec["status"] == "pass",
-                       expected=rec["expected"], actual=rec["actual"])
-    except VerificationFailure as e:
-        report.add("dehn-table", "exact-twist-ring-table", False, actual=str(e))
-    return report
+    for rec in fukaya.dehn_table_q0():
+        yield (rec["id"], "exact-twist-ring-table", rec["status"] == "pass",
+               rec["expected"], rec["actual"])
 
 
-def run_mirror_suite(order: int = 8, emit_relation: bool = False) -> VerificationReport:
+@_suite("mirror-map")
+def run_mirror_suite(order: int = 8, emit_relation: bool = False):
     """The mirror map lands exactly on the Tate curve coefficients."""
-    report = VerificationReport("mirror-map", {
-        "order": order, "emit_relation": emit_relation})
     try:
         res = fukaya.mirror_weierstrass(order)
     except VerificationFailure as e:
-        report.add("mirror-construction", "mirror-equals-tate", False, actual=str(e))
-        return report
+        yield "mirror-construction", "mirror-equals-tate", False, None, str(e)
+        return
     tate = weierstrass.tate_curve(order)
     q0 = [v.coeffs[0] for v in res.curve.as_tuple()]
-    report.add("central-fiber", "mirror-q0-nodal-cubic", q0 == [1, 0, 0, 0, 0],
-               expected=[1, 0, 0, 0, 0], actual=q0)
+    yield "central-fiber", "mirror-q0-nodal-cubic", q0 == [1, 0, 0, 0, 0], [1, 0, 0, 0, 0], q0
     for name in ("a1", "a2", "a3", "a4", "a6"):
-        got = getattr(res.curve, name)
-        want = getattr(tate, name)
-        report.add(f"coefficient-{name}", "mirror-equals-tate", got == want,
-                   expected=want, actual=got)
-    report.add("relation-integral", "relation-coefficients-integral",
-               fukaya.relation_is_integral(res.relation))
+        got, want = getattr(res.curve, name), getattr(tate, name)
+        yield f"coefficient-{name}", "mirror-equals-tate", got == want, want, got
+    certificate = list(fukaya.relation_certificate())
+    yield ("relation-unimodular", "relation-coefficients-integral", certificate == [1, 1],
+           [1, 1], certificate)
     if emit_relation:
         for label, series in zip(fukaya.MONOMIAL_LABELS, res.relation):
-            report.add(f"relation-{label}", "degree-six-relation", True,
-                       actual=series)
-        report.add("rescaling-unit", "relation-unit-series", True, actual=res.unit)
-    return report
+            yield f"relation-{label}", "degree-six-relation", True, None, series
+        yield "rescaling-unit", "relation-unit-series", True, None, res.unit
 
 
 def _predicted_tjurina_dim(char: int) -> int:
@@ -180,45 +185,36 @@ def _predicted_tjurina_dim(char: int) -> int:
     return sum(hochschild.predicted_cusp_table(char, 2, -6).row(2).values())
 
 
+@_suite("hochschild")
 def run_hochschild_suite(char: int = 0, n_max: int = 8, s_min: int = -12,
-                         bound: int = 10) -> VerificationReport:
+                         bound: int = 10):
     """Graded cusp cohomology against the closed form; nodal dimensions."""
-    report = VerificationReport("hochschild", {
-        "char": char, "n_max": n_max, "s_min": s_min, "bound": bound})
     fld = ring_of_characteristic(char)
-    cusp = hochschild.PlaneCurveRing(fld, 0)
-    node = hochschild.PlaneCurveRing(fld, 1)
-
+    cusp, node = hochschild.PlaneCurveRing(fld, 0), hochschild.PlaneCurveRing(fld, 1)
     got = hochschild.cusp_graded_ranks(cusp, n_max, s_min)
     want = hochschild.predicted_cusp_table(char, n_max, s_min)
     for n in range(2, n_max + 1):
-        report.add(f"cusp-ranks-row-{n}", "cusp-cohomology-table",
-                   got.row(n) == want.row(n),
-                   expected=want.row(n), actual=got.row(n))
+        yield (f"cusp-ranks-row-{n}", "cusp-cohomology-table", got.row(n) == want.row(n),
+               want.row(n), got.row(n))
 
     expected_t = _predicted_tjurina_dim(char)
     tdim, _ = hochschild.tjurina_dim(cusp, bound)
-    report.add("cusp-tjurina-dim", "milnor-ring-dimension", tdim == expected_t,
-               expected=expected_t, actual=tdim)
+    yield "cusp-tjurina-dim", "milnor-ring-dimension", tdim == expected_t, expected_t, tdim
     kdim, cusp_pairs = hochschild.koszul_h1_dim(cusp, bound)
-    report.add("cusp-middle-homology-dim", "middle-homology-equals-tjurina",
-               kdim == tdim, expected=tdim, actual=kdim)
+    yield "cusp-middle-homology-dim", "middle-homology-equals-tjurina", kdim == tdim, tdim, kdim
 
     ntdim, _ = hochschild.tjurina_dim(node, bound)
     nkdim, node_pairs = hochschild.koszul_h1_dim(node, bound)
-    report.add("node-tjurina-dim", "nodal-tjurina-trivial", ntdim == 1,
-               expected=1, actual=ntdim)
-    report.add("node-middle-homology-dim", "nodal-middle-homology-trivial",
-               nkdim == 1, expected=1, actual=nkdim)
+    yield "node-tjurina-dim", "nodal-tjurina-trivial", ntdim == 1, 1, ntdim
+    yield "node-middle-homology-dim", "nodal-middle-homology-trivial", nkdim == 1, 1, nkdim
     for label, ring, pairs in (("cusp", cusp, cusp_pairs), ("node", node, node_pairs)):
         try:
             hochschild.omega_pairing(ring, pairs)
-            report.add(f"{label}-skew-pairing", "skew-pairing-vanishes", True,
-                       expected="zero matrix", actual="zero matrix")
         except VerificationFailure as e:
-            report.add(f"{label}-skew-pairing", "skew-pairing-vanishes", False,
-                       actual=str(e))
-    return report
+            yield f"{label}-skew-pairing", "skew-pairing-vanishes", False, None, str(e)
+        else:
+            yield (f"{label}-skew-pairing", "skew-pairing-vanishes", True,
+                   "zero matrix", "zero matrix")
 
 
 # dictionaries translating group-theoretic data into the cohomology labels:
@@ -269,23 +265,20 @@ def _global_sign(computed: dict, expected: dict, fld):
     return None
 
 
-def run_lie_suite(char: int = 0) -> VerificationReport:
+@_suite("lie-brackets")
+def run_lie_suite(char: int = 0):
     """Ranks of the differentiated group action and its adjoint brackets."""
-    report = VerificationReport("lie-brackets", {"char": char})
     fld = ring_of_characteristic(char)
     _, coker, ker = weierstrass.lie_d_matrix(fld)
     # d maps 4 directions to 5 with cokernel T, so its kernel has rank dim T - 1
     want_coker = _predicted_tjurina_dim(char)
     want_ker = want_coker - 1
-    report.add("coker-rank", "action-cokernel-rank", coker == want_coker,
-               expected=want_coker, actual=coker)
-    report.add("ker-rank", "action-kernel-rank", ker == want_ker,
-               expected=want_ker, actual=ker)
+    yield "coker-rank", "action-cokernel-rank", coker == want_coker, want_coker, coker
+    yield "ker-rank", "action-kernel-rank", ker == want_ker, want_ker, ker
 
     cusp = hochschild.PlaneCurveRing(fld, 0)
-    row2 = hochschild.cusp_graded_ranks(cusp, 2, -6).row(2)
-    report.add("coker-matches-degree-2-row", "cokernel-matches-deformations",
-               sum(row2.values()) == coker, expected=coker, actual=sum(row2.values()))
+    row2 = sum(hochschild.cusp_graded_ranks(cusp, 2, -6).row(2).values())
+    yield "coker-matches-degree-2-row", "cokernel-matches-deformations", row2 == coker, coker, row2
 
     table = _LIE_TABLES.get(char)
     if table is None:  # characteristic 0 or p >= 5: only the scaling eigenvalues
@@ -294,9 +287,8 @@ def run_lie_suite(char: int = 0) -> VerificationReport:
             got = weierstrass.adjoint_bracket(du, weierstrass.coeff_direction(fld, name))
             want = [fld.mul(fld.coerce(scale), v)
                     for v in weierstrass.coeff_direction(fld, name)]
-            report.add(f"adjoint-du-{name}", "scaling-field-eigenvalues",
-                       got == want, expected=want, actual=got)
-        return report
+            yield f"adjoint-du-{name}", "scaling-field-eigenvalues", got == want, want, got
+        return
 
     l_side = (table["L"], weierstrass.LIE_NAMES, fld)
     q_side = (table["Q2"], weierstrass.COEFF_NAMES, fld)
@@ -312,16 +304,14 @@ def run_lie_suite(char: int = 0) -> VerificationReport:
              table["LL"], l_side)):
         expected = {key: _coordinates(want, *side) for key, want in entries.items()}
         sign = _global_sign(computed, expected, fld)
-        report.add(check, anchor, sign is not None,
-                   expected="match up to one global sign",
-                   actual=f"global sign {sign}" if sign is not None else computed)
-    return report
+        yield (check, anchor, sign is not None, "match up to one global sign",
+               f"global sign {sign}" if sign is not None else computed)
 
 
-def _timed(suite, *args) -> VerificationReport:
+def _timed(suite, *args, **kwargs) -> VerificationReport:
     """Run one suite and record its own wall-clock duration in the report."""
     start = time.perf_counter()
-    report = suite(*args)
+    report = suite(*args, **kwargs)
     report.duration_seconds = round(time.perf_counter() - start, 3)
     return report
 
@@ -367,78 +357,54 @@ def _characteristic(text: str) -> int:
     return char
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is a negative integer")
-    return value
+def _int_at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {low}")
+        return value
+    return integer
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="tatemirror",
         description="exact verification suites for the torus mirror correspondence")
-    parser.add_argument("--out", help="write the JSON report here instead of stdout")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=argparse.SUPPRESS,
-                        help="write the JSON report here instead of stdout")
+    out_help = "write the JSON report here instead of stdout"
+    parser.add_argument("--out", help=out_help)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify-lattice", parents=[common],
-                       help="triangle-count identities")
-    p.add_argument("--max-degree", type=_nonnegative_int, default=12)
+    def command(name, suite, help):
+        # options left out stay out of the call, so the suite's defaults apply
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        p.add_argument("--out", help=out_help)
+        p.set_defaults(suite=suite)
+        return p
 
-    p = sub.add_parser("verify-theta", parents=[common],
-                       help="Floer versus section-ring products")
-    p.add_argument("--order", type=_positive_int, default=10)
-    p.add_argument("--max-degree", type=_nonnegative_int, default=12)
-
-    p = sub.add_parser("mirror-map", parents=[common],
-                       help="recover the Tate curve coefficients")
-    p.add_argument("--order", type=_positive_int, default=8)
+    p = command("verify-lattice", run_lattice_suite, "triangle-count identities")
+    p.add_argument("--max-degree", type=_int_at_least(0))
+    p = command("verify-theta", run_theta_suite, "Floer versus section-ring products")
+    p.add_argument("--order", type=_int_at_least(1))
+    p.add_argument("--max-degree", type=_int_at_least(0))
+    p = command("mirror-map", run_mirror_suite, "recover the Tate curve coefficients")
+    p.add_argument("--order", type=_int_at_least(1))
     p.add_argument("--emit-relation", action="store_true")
-
-    sub.add_parser("dehn-table", parents=[common],
-                   help="the seven exact q=0 products")
-
-    p = sub.add_parser("hochschild", parents=[common],
-                       help="graded cohomology tables")
-    p.add_argument("--char", type=_characteristic, default=0, help="0 or a prime")
-    p.add_argument("--window", type=_parse_window, default=(8, -12),
-                   metavar="N_MAX,S_MIN")
-
-    p = sub.add_parser("lie-brackets", parents=[common],
-                       help="group action ranks and brackets")
-    p.add_argument("--char", type=_characteristic, default=0, help="0 or a prime")
-
-    p = sub.add_parser("all", parents=[common],
-                       help="every suite at default parameters")
-    p.add_argument("--order", type=_positive_int, default=8,
+    command("dehn-table", run_dehn_suite, "the seven exact q=0 products")
+    p = command("hochschild", run_hochschild_suite, "graded cohomology tables")
+    p.add_argument("--char", type=_characteristic, help="0 or a prime")
+    p.add_argument("--window", type=_parse_window, metavar="N_MAX,S_MIN")
+    p = command("lie-brackets", run_lie_suite, "group action ranks and brackets")
+    p.add_argument("--char", type=_characteristic, help="0 or a prime")
+    p = command("all", run_all, "every suite at default parameters")
+    p.add_argument("--order", type=_int_at_least(1),
                    help="order of the mirror-map suite only")
 
-    args = parser.parse_args(argv)
-    if args.command == "verify-lattice":
-        reports = [_timed(run_lattice_suite, args.max_degree)]
-    elif args.command == "verify-theta":
-        reports = [_timed(run_theta_suite, args.order, args.max_degree)]
-    elif args.command == "mirror-map":
-        reports = [_timed(run_mirror_suite, args.order, args.emit_relation)]
-    elif args.command == "dehn-table":
-        reports = [_timed(run_dehn_suite)]
-    elif args.command == "hochschild":
-        reports = [_timed(run_hochschild_suite, args.char, *args.window)]
-    elif args.command == "lie-brackets":
-        reports = [_timed(run_lie_suite, args.char)]
-    else:
-        reports = run_all(args.order)
-    return _emit(reports, args.out)
+    args = vars(parser.parse_args(argv))
+    suite, out, _ = (args.pop(key) for key in ("suite", "out", "command"))
+    if "window" in args:
+        args["n_max"], args["s_min"] = args.pop("window")
+    reports = run_all(**args) if suite is run_all else [_timed(suite, **args)]
+    return _emit(reports, out)
 
 
 if __name__ == "__main__":

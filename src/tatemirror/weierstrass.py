@@ -13,6 +13,7 @@ and both actions are realized here exactly.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 from . import _linalg
@@ -455,8 +456,10 @@ def ker_d_basis(ring: Ring):
     return [LieElement(ring, *v) for v in _linalg.nullspace(matrix, ring)]
 
 
-def coker_projection(ring: Ring):
-    """Row-reduced image of d, used to cut im d out of coefficient vectors."""
+@functools.cache
+def _coker_projection(ring: Ring):
+    """Row-reduced image of d, used to cut im d out of coefficient vectors;
+    cached per ring (rings are interned), so callers must not mutate it."""
     matrix, _, _ = lie_d_matrix(ring)
     image_rows = _linalg.transpose(matrix)
     return _linalg.rref(image_rows, ring)
@@ -482,5 +485,5 @@ def adjoint_bracket(xi: LieElement, w) -> list:
         raise ValueError("adjoint_bracket requires an element of ker d")
     at_w = lie_vector_field(xi, list(w))
     derivative = [ring.sub(a, b) for a, b in zip(at_w, at_zero)]
-    span, pivots = coker_projection(ring)
+    span, pivots = _coker_projection(ring)
     return _linalg.reduce_mod_span(span, pivots, derivative, ring)

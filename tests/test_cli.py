@@ -1,10 +1,12 @@
 import dataclasses
+import functools
 import json
 import types
 
 import pytest
 
-from tatemirror import cli, weierstrass
+from tatemirror import cli, hochschild, weierstrass
+from tatemirror.errors import InvariantError, StabilizationError
 
 
 def run(args, capsys):
@@ -169,6 +171,102 @@ class TestLieSuites:
         monkeypatch.setattr(weierstrass, "adjoint_bracket", skewed)
         report = cli.run_lie_suite(3)
         assert self.check(report, "adjoint-table").status == "fail"
+
+    def test_one_d_matrix_for_the_suite_and_one_for_the_projection(self, monkeypatch):
+        original = weierstrass.lie_d_matrix
+        calls = []
+        monkeypatch.setattr(weierstrass, "lie_d_matrix",
+                            lambda ring: calls.append(ring) or original(ring))
+        weierstrass._coker_projection.cache_clear()
+        for char in (0, 2, 3, 5, 7):
+            assert cli.run_lie_suite(char).passed
+        assert len(calls) == 10
+
+
+def unstable_koszul(ring, bound=10):
+    raise StabilizationError("fabricated: raise the bound")
+
+
+def broken_lie_d_matrix(ring):
+    raise InvariantError("fabricated rank defect")
+
+
+class TestSuiteContract:
+    """Each suite's defaults live in its signature, and an exception escaping
+    a suite is one failed check named after it, after the checks before it."""
+
+    @staticmethod
+    def split_last(doc):
+        *earlier, last = doc["checks"]
+        assert all(c["status"] == "pass" for c in earlier)
+        return len(earlier), last
+
+    def test_hochschild_exception_is_a_failed_check(self, capsys, monkeypatch):
+        monkeypatch.setattr(hochschild, "koszul_h1_dim", unstable_koszul)
+        code, doc = run(["hochschild"], capsys)
+        assert code == 1 and doc["passed"] is False
+        # seven cusp rows and the Tjurina dimension come before the Koszul pass
+        assert self.split_last(doc) == (8, {
+            "id": "hochschild", "anchor": "suite-completes", "status": "fail",
+            "expected": "None", "actual": "StabilizationError: fabricated: raise the bound"})
+
+    def test_lie_exception_is_a_failed_check(self, capsys, monkeypatch):
+        original = weierstrass.lie_d_matrix
+        calls = []
+
+        def fails_on_reuse(ring):
+            calls.append(ring)
+            if len(calls) > 1:
+                raise InvariantError("fabricated rank defect")
+            return original(ring)
+
+        monkeypatch.setattr(weierstrass, "lie_d_matrix", fails_on_reuse)
+        weierstrass._coker_projection.cache_clear()  # so the adjoint tables rebuild d
+        code, doc = run(["lie-brackets", "--char", "3"], capsys)
+        assert code == 1 and doc["passed"] is False
+        count, last = self.split_last(doc)
+        assert count == 3
+        assert (last["id"], last["status"], last["actual"]) == (
+            "lie-brackets", "fail", "InvariantError: fabricated rank defect")
+
+    def test_all_still_runs_every_other_suite(self, capsys, monkeypatch):
+        monkeypatch.setattr(hochschild, "koszul_h1_dim", unstable_koszul)
+        monkeypatch.setattr(weierstrass, "lie_d_matrix", broken_lie_d_matrix)
+        # the real lattice and theta suites on a smaller grid, to keep this fast
+        for name in ("lattice", "theta"):
+            suite = getattr(cli, f"run_{name}_suite")
+            monkeypatch.setattr(cli, f"run_{name}_suite",
+                                functools.partial(suite, max_degree=4))
+        code, doc = run(["all"], capsys)
+        assert code == 1
+        assert all(s["checks"] for s in doc["suites"])
+        assert [(s["suite"], [c["id"] for c in s["checks"] if c["status"] != "pass"])
+                for s in doc["suites"]] == [
+            ("verify-lattice", []), ("verify-theta", []), ("dehn-table", []),
+            ("mirror-map", []), *[("hochschild", ["hochschild"])] * 4,
+            *[("lie-brackets", ["lie-brackets"])] * 3]
+
+    DEFAULTS = [
+        (["mirror-map"], {"order": 8, "emit_relation": False}),
+        (["hochschild"], {"char": 0, "n_max": 8, "s_min": -12, "bound": 10}),
+        (["lie-brackets"], {"char": 0}),
+        (["dehn-table"], {}),
+        (["verify-lattice", "--max-degree", "3"], {"max_degree": 3, "exponent_cap": 12}),
+        (["verify-theta", "--max-degree", "3"], {"order": 10, "max_degree": 3}),
+    ]
+
+    @pytest.mark.parametrize("argv, params", DEFAULTS,
+                             ids=[" ".join(argv) for argv, _ in DEFAULTS])
+    def test_omitted_options_report_signature_defaults(self, argv, params, capsys):
+        code, doc = run(argv, capsys)
+        assert code == 0
+        assert doc["params"] == params
+
+    def test_mirror_map_reports_the_relation_certificate(self, capsys):
+        _, doc = run(["mirror-map", "--order", "2"], capsys)
+        cert = next(c for c in doc["checks"] if c["id"] == "relation-unimodular")
+        assert cert["status"] == "pass"
+        assert cert["expected"] == cert["actual"] == ["1", "1"]
 
 
 class TestEveryPrime:

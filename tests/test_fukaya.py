@@ -163,6 +163,23 @@ class TestRelationKernel:
         report = cli.run_mirror_suite(4)
         assert [(c.id, c.status) for c in report.checks] == [("mirror-construction", "fail")]
 
+    def test_relation_certificate(self, monkeypatch):
+        # (|det| of the block without y'^2, gcd of the maximal minors)
+        assert fukaya.relation_certificate() == (1, 1)
+        monomials = fukaya._degree_six_monomials
+
+        def doubled(order):
+            monos = monomials(order)
+            monos[1] = monos[1].scale(2)
+            return monos
+
+        monkeypatch.setattr(fukaya, "_degree_six_monomials", doubled)
+        assert fukaya.relation_certificate() == (2, 1)
+        # every monomial doubled: each 6x6 minor gains a factor 2^6
+        monkeypatch.setattr(fukaya, "_degree_six_monomials",
+                            lambda order: [m.scale(2) for m in monomials(order)])
+        assert fukaya.relation_certificate() == (64, 64)
+
     def test_residual_vanishes(self):
         # recompute the residual directly from the monomials
         order = 5

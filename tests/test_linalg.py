@@ -1,9 +1,9 @@
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tatemirror._linalg import nullspace, rank, reduce_mod_span, rref, solve_right
+from tatemirror._linalg import det, nullspace, rank, reduce_mod_span, rref, solve_right
 from tatemirror.exactnum import GF, QQ
 
 FIELDS = (QQ, GF(2), GF(3), GF(7))
@@ -118,3 +118,34 @@ class TestExactOverQQ:
         x = solve_right([[3]], [1], QQ)
         assert x == [Fraction(1, 3)]
         assert all(type(v) is Fraction for v in x)
+
+
+def cofactor_det(m):
+    if not m:
+        return 1
+    return sum((-1) ** c * m[0][c] * cofactor_det([row[:c] + row[c + 1:] for row in m[1:]])
+               for c in range(len(m)))
+
+
+@st.composite
+def square_matrices(draw):
+    """A small integer matrix, sometimes singular or with a zero leading entry."""
+    n = draw(st.integers(0, 5))
+    m = draw(st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    if n and draw(st.booleans()):
+        m[0][0] = 0
+    if n > 1 and draw(st.booleans()):
+        m[-1] = [draw(st.integers(-3, 3)) * x for x in m[0]]
+    return m
+
+
+class TestDet:
+    @settings(max_examples=300, deadline=None)
+    @given(square_matrices())
+    @example([[0, 1], [1, 0]])
+    @example([[1, 2, 3], [2, 4, 7], [0, 1, 5]])  # a zero pivot after the first step
+    def test_matches_cofactor_expansion(self, m):
+        before = [list(row) for row in m]
+        assert det(m) == cofactor_det(m)
+        assert m == before
