@@ -27,7 +27,9 @@ from .exactnum import QSeries, ring_of_characteristic
 
 
 def _ser(value):
-    """Serialize exact values as decimal strings, recursively."""
+    """Serialize exact values as decimal strings, recursively; None is null."""
+    if value is None:
+        return None
     if isinstance(value, QSeries):
         return [_ser(c) for c in value.coeffs]
     if isinstance(value, (int, Fraction)):

@@ -79,10 +79,12 @@ def enumerate_triangles(n1: int, p1, n2: int, p2, order: int):
     return out
 
 
-def _floer_terms(n1: int, p1, n2: int, p2, order: int):
-    """Floer basis product: one q-power per immersed triangle (every sign is +1)."""
-    return [(CyclicPoint.from_fraction(n1 + n2, tri.vertices[2][0]), tri.q_exponent)
-            for tri in enumerate_triangles(n1, p1, n2, p2, order)]
+def _floer_terms(n1: int, m1: int, n2: int, m2: int, order: int):
+    """Floer basis product of the slots m1/n1 and m2/n2: one q-power per
+    immersed triangle (every sign is +1), landing in the slot of its third
+    vertex (m1 + m2 + n2*j)/(n1 + n2)."""
+    return [(CyclicPoint(n1 + n2, (m1 + m2 + n2 * tri.j) % (n1 + n2)), tri.q_exponent)
+            for tri in enumerate_triangles(n1, Fraction(m1, n1), n2, Fraction(m2, n2), order)]
 
 
 def floer_mul(x: FloerElement, y: FloerElement) -> FloerElement:
@@ -106,10 +108,11 @@ def _power(x: FloerElement, n: int) -> FloerElement:
 # -- the exact (q = 0) multiplication table ----------------------------------
 
 def dehn_table_q0():
-    """Verify the seven exact products of the twisted-line ring at q = 0.
+    """Check the seven exact products of the twisted-line ring at q = 0.
 
-    Returns the list of check records; raises VerificationFailure naming the
-    first product that fails.
+    Returns one record {id, status, expected, actual} per check, each with
+    status "pass" exactly when actual equals expected; a wrong product is a
+    failed record, and the records after it are still computed.
     """
     order = 1
     zp = FloerElement.basis(1, 0, order)
@@ -125,56 +128,28 @@ def dehn_table_q0():
     eta2_sq = floer_mul(eta2, eta2)
     eta12 = floer_mul(eta1, eta2)
     zeta1_cubed = _power(zeta1, 3)
-
-    table = [
-        ("z'^2 = zeta0 + 2*zeta1", z2, {0: 1, 1: 2}),
-        ("z'*zeta0 = eta0 + eta1 + eta2", z_zeta0, {0: 1, 1: 1, 2: 1}),
-        ("z'*zeta1 = eta1 + eta2", z_zeta1, {1: 1, 2: 1}),
-        ("z'^3 = eta0 + 3*eta1 + 3*eta2", z3, {0: 1, 1: 3, 2: 3}),
-        ("eta2^2 = theta4", eta2_sq, {4: 1}),
-        ("eta1*eta2 = theta3", eta12, {3: 1}),
-        ("zeta1^3 = theta3", zeta1_cubed, {3: 1}),
-    ]
-    records = []
-    for label, got, expected in table:
-        actual = got.q0_map()
-        ok = actual == expected
-        records.append({"id": label, "status": "pass" if ok else "fail",
-                        "expected": expected, "actual": actual})
-        if not ok:
-            raise VerificationFailure(f"product {label}: got {actual}")
-
-    # associativity spot check: z'*(z'*z') against the assembled table rows
-    assembled = z_zeta0 + z_zeta1.scale(2)
-    if z3.q0_map() != assembled.q0_map():
-        raise VerificationFailure("z'^3 computed two ways disagrees")
-    records.append({"id": "z'^3 two ways", "status": "pass",
-                    "expected": assembled.q0_map(), "actual": z3.q0_map()})
-
-    # cross-check against the section-ring side at q = 0
-    theta_pairs = [
-        ("z'^2", z2, theta_mul(zp, zp)),
-        ("z'*zeta1", z_zeta1, theta_mul(zp, zeta1)),
-        ("eta1*eta2", eta12, theta_mul(eta1, eta2)),
-    ]
-    for label, got, mirror in theta_pairs:
-        ok = got.q0_map() == mirror.q0_map()
-        records.append({"id": f"{label} matches section ring",
-                        "status": "pass" if ok else "fail",
-                        "expected": mirror.q0_map(), "actual": got.q0_map()})
-        if not ok:
-            raise VerificationFailure(f"{label} disagrees with the section ring")
-
-    # the degree-6 relation at q = 0
     xyz = floer_mul(floer_mul(zeta1, eta2), zp)
-    residue = eta2_sq + zeta1_cubed - xyz
-    ok = residue.is_zero()
-    records.append({"id": "y'^2 + x'^3 = x'*y'*z'",
-                    "status": "pass" if ok else "fail",
-                    "expected": {}, "actual": residue.q0_map()})
-    if not ok:
-        raise VerificationFailure("y'^2 + x'^3 - x'y'z' is nonzero at q=0")
-    return records
+
+    checks = [  # (id, expected, actual) as q = 0 slot maps
+        ("z'^2 = zeta0 + 2*zeta1", {0: 1, 1: 2}, z2.q0_map()),
+        ("z'*zeta0 = eta0 + eta1 + eta2", {0: 1, 1: 1, 2: 1}, z_zeta0.q0_map()),
+        ("z'*zeta1 = eta1 + eta2", {1: 1, 2: 1}, z_zeta1.q0_map()),
+        ("z'^3 = eta0 + 3*eta1 + 3*eta2", {0: 1, 1: 3, 2: 3}, z3.q0_map()),
+        ("eta2^2 = theta4", {4: 1}, eta2_sq.q0_map()),
+        ("eta1*eta2 = theta3", {3: 1}, eta12.q0_map()),
+        ("zeta1^3 = theta3", {3: 1}, zeta1_cubed.q0_map()),
+        # associativity spot check: z'*(z'*z') against the assembled table rows
+        ("z'^3 two ways", (z_zeta0 + z_zeta1.scale(2)).q0_map(), z3.q0_map()),
+        # cross-checks against the section-ring side at q = 0
+        ("z'^2 matches section ring", theta_mul(zp, zp).q0_map(), z2.q0_map()),
+        ("z'*zeta1 matches section ring", theta_mul(zp, zeta1).q0_map(), z_zeta1.q0_map()),
+        ("eta1*eta2 matches section ring", theta_mul(eta1, eta2).q0_map(), eta12.q0_map()),
+        # the degree-6 relation at q = 0
+        ("y'^2 + x'^3 = x'*y'*z'", {}, (eta2_sq + zeta1_cubed - xyz).q0_map()),
+    ]
+    return [{"id": label, "status": "pass" if actual == expected else "fail",
+             "expected": expected, "actual": actual}
+            for label, expected, actual in checks]
 
 
 # -- the degree-6 relation and the mirror curve ------------------------------

@@ -5,6 +5,11 @@ infinitesimal eps > 0.  The infinitesimal is handled symbolically: quantities
 are pairs (value, eps-coefficient) ordered lexicographically, so no boundary
 case ever depends on a numeric epsilon.  These counts are the independent
 oracle for the q-exponents of the section ring and the Floer products.
+
+``count_perturbed`` is the production kernel: it clears denominators once and
+works on integer vertices only.  ``PerturbedTriangle``, ``EpsRational``,
+``count_perturbed_reference`` and ``row_formula_count`` are the Fraction
+oracles it is tested against, and share no vertex code with it.
 """
 
 from __future__ import annotations
@@ -113,21 +118,22 @@ class PerturbedTriangle:
 def count_perturbed(n1: int, p1, n2: int, p2) -> int:
     """Number of perturbed lattice points strictly inside the triangle.
 
-    Exact integer arithmetic on denominator-cleared coordinates; the eps
-    component of every half-plane value is carried separately and compared
-    lexicographically.  Each column of candidate points is resolved by
-    solving the three half-plane constraints for an exact integer interval.
-    Degenerate triangles count zero.
+    Exact integer arithmetic: with p1 = a1/d1, p2 = a2/d2 and
+    den = lcm(d1, d2)*(n1 + n2), the vertices scaled by den are integers
+    (u1, 0), (u2, -n1*(u2 - u1)), ((n1*u1 + n2*u2)/(n1 + n2), 0).  Any common
+    multiple of the denominators gives the same count: each half-plane slope
+    and offset scales by den^2 and its eps coefficient by den, so neither the
+    integer bounds nor the tie-breaking signs move.  Each column of
+    candidate points is resolved by solving the three half-plane constraints
+    for an exact integer interval.  Degenerate triangles count zero.
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("degrees must be positive")
-    tri = PerturbedTriangle(n1, Fraction(p1), n2, Fraction(p2))
-    verts = tri.vertices
-    den = 1
-    for x, y in verts:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-        den = den * y.denominator // math.gcd(den, y.denominator)
-    pts = [(int(x * den), int(y * den)) for x, y in verts]
+    a1, d1, a2, d2 = p1.numerator, p1.denominator, p2.numerator, p2.denominator
+    n3 = n1 + n2
+    den = math.lcm(d1, d2) * n3
+    u1, u2 = a1 * (den // d1), a2 * (den // d2)
+    pts = ((u1, 0), (u2, -n1 * (u2 - u1)), ((n1 * u1 + n2 * u2) // n3, 0))
     (x0, y0), (x1, y1), (x2, y2) = pts
     area2 = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
     if area2 == 0:
@@ -142,9 +148,9 @@ def count_perturbed(n1: int, p1, n2: int, p2) -> int:
         edges.append((dx * orient, dy * orient,
                       (dx * ya - dy * xa) * orient, (dx - dy) * orient))
 
-    xs = [v[0] for v in verts]
+    xs = (x0, x1, x2)
     count = 0
-    for a in range(math.floor(min(xs)), math.ceil(max(xs)) + 1):
+    for a in range(min(xs) // den, -(-max(xs) // den) + 1):
         px = a * den
         lo = None
         hi = None

@@ -185,9 +185,10 @@ class ThetaElement:
     def bilinear(self, other: "ThetaElement", terms) -> "ThetaElement":
         """Bilinear extension of a product of basis elements.
 
-        ``terms(n1, p1, n2, p2, order)`` yields ``(target slot, q-exponent)``
-        for each term of the product of the basis elements at p1 and p2;
-        exponents are below the truncation order and every term has sign +1.
+        ``terms(n1, m1, n2, m2, order)`` yields ``(target slot, q-exponent)``
+        for each term of the product of the basis elements at the slot
+        numerators m1 (of m1/n1) and m2 (of m2/n2); exponents are below the
+        truncation order and every term has sign +1.
         """
         self._check(other, same_degree=False)
         n1, n2, order = self.degree, other.degree, self.order
@@ -195,25 +196,27 @@ class ThetaElement:
         for pt1, c1 in self.coeffs.items():
             if c1.is_zero():
                 continue
-            p1 = pt1.as_fraction()
             for pt2, c2 in other.coeffs.items():
                 if c2.is_zero():
                     continue
                 c12 = c1 * c2
-                for target, exponent in terms(n1, p1, n2, pt2.as_fraction(), order):
+                for target, exponent in terms(n1, pt1.m, n2, pt2.m, order):
                     out[target] = out[target] + c12.shift(exponent)
         return ThetaElement(n1 + n2, order, out)
 
 
-def _section_terms(n1: int, p1, n2: int, p2, order: int):
-    """Section-ring basis product: q^lambda at the weighted mean, per shift j."""
+def _section_terms(n1: int, m1: int, n2: int, m2: int, order: int):
+    """Section-ring basis product: q^lambda at the weighted mean, per shift j.
+
+    The mean of m1/n1 and m2/n2 + j is (m1 + m2 + n2*j)/(n1 + n2), so its
+    slot numerator is read off in integers."""
+    p1, p2 = Fraction(m1, n1), Fraction(m2, n2)
     for j in j_range(n1, p1, n2, p2, order):
         lam = lambda_exp(n1, p1, n2, p2 + j)
         if lam.denominator != 1 or lam < 0:
             raise InvariantError(f"exponent {lam} at ({n1},{p1};{n2},{p2 + j})")
         if lam < order:
-            yield (CyclicPoint.from_fraction(n1 + n2, weighted_mean(n1, p1, n2, p2 + j)),
-                   int(lam))
+            yield CyclicPoint(n1 + n2, (m1 + m2 + n2 * j) % (n1 + n2)), int(lam)
 
 
 def theta_mul(x: ThetaElement, y: ThetaElement) -> ThetaElement:

@@ -134,6 +134,23 @@ class TestReports:
         assert code == 1
         assert doc["passed"] is False
 
+    def test_wrong_dehn_product_fails_only_its_own_checks(self, capsys, monkeypatch):
+        import tatemirror.fukaya as fukaya
+
+        power = fukaya._power
+        monkeypatch.setattr(fukaya, "_power", lambda x, n: power(x, n).scale(2))
+        code, doc = run(["dehn-table"], capsys)
+        assert code == 1
+        assert len(doc["checks"]) == 12
+        assert [c["id"] for c in doc["checks"] if c["status"] != "pass"] == [
+            "zeta1^3 = theta3", "y'^2 + x'^3 = x'*y'*z'"]
+
+    def test_absent_values_are_null(self, capsys):
+        code, doc = run(["verify-lattice", "--max-degree", "2"], capsys)
+        assert code == 0
+        check = next(c for c in doc["checks"] if c["id"] == "translation-invariance")
+        assert check["expected"] is None and check["actual"] is None
+
 
 class TestLieSuites:
     @pytest.mark.parametrize("char", [0, 2, 3])
@@ -208,7 +225,7 @@ class TestSuiteContract:
         # seven cusp rows and the Tjurina dimension come before the Koszul pass
         assert self.split_last(doc) == (8, {
             "id": "hochschild", "anchor": "suite-completes", "status": "fail",
-            "expected": "None", "actual": "StabilizationError: fabricated: raise the bound"})
+            "expected": None, "actual": "StabilizationError: fabricated: raise the bound"})
 
     def test_lie_exception_is_a_failed_check(self, capsys, monkeypatch):
         original = weierstrass.lie_d_matrix

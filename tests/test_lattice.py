@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tatemirror import lattice, theta
+from tatemirror import fukaya, lattice, theta
 from tatemirror.lattice import EpsRational, PerturbedTriangle, perturbed
 
 
@@ -97,6 +97,37 @@ class TestCountPerturbed:
             fast = lattice.count_perturbed(n1, p1, n2, p2)
             assert fast == lattice.count_perturbed_reference(n1, p1, n2, p2)
             assert fast >= 0
+
+
+    def test_matches_point_scan_off_the_basis_grid(self):
+        # denominators unrelated to the degrees, so the cleared scale is not
+        # the minimal one; every tenth case has coincident points
+        rng = random.Random(23)
+        for case in range(200):
+            n1, n2 = rng.randint(1, 8), rng.randint(1, 8)
+            p1 = Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+            p2 = p1 if case % 10 == 0 else Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+            assert lattice.count_perturbed(n1, p1, n2, p2) == \
+                lattice.count_perturbed_reference(n1, p1, n2, p2), (n1, p1, n2, p2)
+
+    def test_kernel_shares_no_code_with_the_fraction_oracle(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Fraction triangle used by the integer kernel")
+
+        monkeypatch.setattr(lattice, "PerturbedTriangle", forbidden)
+        monkeypatch.setattr(lattice, "EpsRational", forbidden)
+        with pytest.raises(AssertionError):
+            lattice.count_perturbed_reference(1, 0, 1, 3)
+        cases = [((1, 0, 1, 3), 2), ((2, Fraction(1, 2), 3, Fraction(7, 3)), 2),
+                 ((3, Fraction(1, 3), 4, Fraction(-11, 4)), 8),
+                 ((5, Fraction(-7, 4), 2, Fraction(5, 6)), 4)]
+        for args, count in cases:
+            assert lattice.count_perturbed(*args) == count
+        product = fukaya.floer_product(3, Fraction(1, 3), 4, Fraction(1, 4), 6)
+        assert {pt.m: [k for k, c in enumerate(s.coeffs) if c]
+                for pt, s in product.coeffs.items() if not s.is_zero()} == \
+            {1: [4], 2: [0], 3: [3], 5: [1], 6: [1]}
+        assert all(c in (0, 1) for s in product.coeffs.values() for c in s.coeffs)
 
 
 class TestRowFormula:
