@@ -28,54 +28,63 @@ from .theta import CyclicPoint, graded_basis, j_range, theta_mul, weighted_mean
 
 @dataclass(frozen=True)
 class ImmersedTriangle:
-    """One product contribution: a planar triangle with its weight data."""
+    """One product contribution: the triangle of p1 (degree n1) and p2j = p2 + j
+    (degree n2); its Fraction vertices and sign are derived on demand."""
 
+    n1: int
+    p1: Fraction
+    n2: int
+    p2j: Fraction
     j: int
-    vertices: tuple
     q_exponent: int
     stars: int
-    sign: int
+
+    @property
+    def vertices(self):
+        return ((self.p1, Fraction(0)), (self.p2j, -self.n1 * (self.p2j - self.p1)),
+                (weighted_mean(self.n1, self.p1, self.n2, self.p2j), Fraction(0)))
+
+    @property
+    def sign(self) -> int:
+        return (-1) ** self.stars
 
 
-def _star_total(p1: Fraction, p2j: Fraction, mean: Fraction) -> int:
-    """Stars met along the three boundary arcs, by ceiling differences.
+def star_count(tri: ImmersedTriangle) -> int:
+    """Boundary stars from the Fraction vertices; the triangle's sign is (-1)**stars.
 
     Each arc crosses one star per unit step of its endpoints' x-ceilings;
     traversal direction does not change the count, so each difference enters
     by absolute value.
     """
-    a = abs(math.ceil(mean) - math.ceil(p1))
-    b = abs(math.ceil(p2j) - math.ceil(p1))
-    c = abs(math.ceil(p2j) - math.ceil(mean))
-    return a + b + c
-
-
-def star_count(tri: ImmersedTriangle) -> int:
-    """Number of boundary stars; the triangle's sign is (-1)**stars."""
     (p1, _), (p2j, _), (mean, _) = tri.vertices
-    return _star_total(Fraction(p1), Fraction(p2j), Fraction(mean))
+    return (abs(math.ceil(mean) - math.ceil(p1)) + abs(math.ceil(p2j) - math.ceil(p1))
+            + abs(math.ceil(p2j) - math.ceil(mean)))
 
 
 def enumerate_triangles(n1: int, p1, n2: int, p2, order: int):
     """All immersed triangles contributing below the truncation order.
 
     One triangle per shift j in the enumeration window; each carries its
-    perturbed-lattice-point count as q-exponent and its star parity sign.
-    Triangles whose exponent reaches the order are dropped.
+    perturbed-lattice-point count as q-exponent and its boundary star count.
+    Triangles whose exponent reaches the order are dropped.  The stars are
+    integer ceiling differences of the x-coordinates a1/d1, b/d2 and
+    (n1*a1*d2 + n2*b*d1)/((n1 + n2)*d1*d2), where b = a2 + j*d2.
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("degrees must be positive")
     p1, p2 = Fraction(p1), Fraction(p2)
+    a1, d1, a2, d2 = p1.numerator, p1.denominator, p2.numerator, p2.denominator
+    c1, mean_den = -(-a1 // d1), (n1 + n2) * d1 * d2
     out = []
     for j in j_range(n1, p1, n2, p2, order):
         p2j = p2 + j
         exponent = lattice.count_perturbed(n1, p1, n2, p2j)
         if exponent >= order:
             continue
-        mean = weighted_mean(n1, p1, n2, p2j)
-        stars = _star_total(p1, p2j, mean)
-        verts = ((p1, Fraction(0)), (p2j, -n1 * (p2j - p1)), (mean, Fraction(0)))
-        out.append(ImmersedTriangle(j, verts, exponent, stars, (-1) ** stars))
+        b = a2 + j * d2
+        c2, c3 = -(-b // d2), -(-(n1 * a1 * d2 + n2 * b * d1) // mean_den)
+        stars = abs(c3 - c1) + abs(c2 - c1) + abs(c2 - c3)
+        out.append(ImmersedTriangle(n1, p1, n2, p2j, j, exponent, stars))
     return out
 
 

@@ -3,6 +3,9 @@
 Degree-N sections have a basis indexed by the cyclic set (1/N)Z mod Z.  The
 product of basis elements is a sum over an integer index j, with q-exponent
 given by the piecewise-linear excess function ``lambda_exp`` below.
+``lambda_exp`` and ``j_range`` work on denominator-cleared integers only; the
+Fraction formulas (``phi``, ``psi``, ``weighted_mean``, ``area``,
+``lambda_exp_reference``) are their oracles and share no code with them.
 """
 
 from __future__ import annotations
@@ -39,8 +42,27 @@ def lambda_exp(n1: int, p1, n2: int, p2) -> Fraction:
     """n1*phi(p1) + n2*phi(p2) - (n1+n2)*phi(mean); the product q-exponent.
 
     A nonnegative integer whenever p1 has denominator dividing n1 and p2
-    has denominator dividing n2.
+    has denominator dividing n2.  On integers: with p1 = a1/d1, p2 = a2/d2 and
+    den = lcm(d1, d2)*(n1 + n2), the points scaled by den are integers u1, u2
+    and (n1*u1 + n2*u2)/(n1 + n2), and phi(u/den) = f*(f-1)/2 + f*r/den for
+    f, r = divmod(u, den).  Takes ints or Fractions.
     """
+    if n1 < 1 or n2 < 1:
+        raise ValueError("degrees must be positive")
+    a1, d1, a2, d2 = p1.numerator, p1.denominator, p2.numerator, p2.denominator
+    n3 = n1 + n2
+    den = math.lcm(d1, d2) * n3
+    u1, u2 = a1 * (den // d1), a2 * (den // d2)
+    whole = frac = 0
+    for n, u in ((n1, u1), (n2, u2), (-n3, (n1 * u1 + n2 * u2) // n3)):
+        f, r = divmod(u, den)
+        whole += n * f * (f - 1) // 2
+        frac += n * f * r
+    return Fraction(whole * den + frac, den)
+
+
+def lambda_exp_reference(n1: int, p1, n2: int, p2) -> Fraction:
+    """The Fraction formula through phi; slow cross-check for lambda_exp."""
     if n1 < 1 or n2 < 1:
         raise ValueError("degrees must be positive")
     e = weighted_mean(n1, p1, n2, p2)
@@ -60,19 +82,20 @@ def j_window(n1: int, n2: int, order: int) -> int:
 
     The exponent grows like the triangle area (n1*n2 / (2*(n1+n2))) * d^2
     and differs from it by at most (n1+n2)/8, so J with
-    n1*n2*(J-1)^2 > 2*(n1+n2)*(order + n1 + n2) is safely past the cutoff.
+    n1*n2*(J-1)^2 > 2*(n1+n2)*(order + n1 + n2) is safely past the cutoff;
+    the smallest such J is isqrt of the floored quotient, plus 2.
     """
-    j = 1
-    while n1 * n2 * (j - 1) ** 2 <= 2 * (n1 + n2) * (order + n1 + n2):
-        j += 1
-    return j
+    n3 = n1 + n2
+    return math.isqrt(2 * n3 * (order + n3) // (n1 * n2)) + 2
 
 
 def j_range(n1: int, p1, n2: int, p2, order: int):
-    """All candidate shifts j for the product at the given truncation order."""
-    center = Fraction(p1) - Fraction(p2)
+    """All shifts j with |j - (p1 - p2)| <= j_window(n1, n2, order), found by
+    integer floor division on p1 - p2 = (a1*d2 - a2*d1)/(d1*d2)."""
+    a1, d1, a2, d2 = p1.numerator, p1.denominator, p2.numerator, p2.denominator
+    num, den = a1 * d2 - a2 * d1, d1 * d2
     jmax = j_window(n1, n2, order)
-    return range(math.ceil(center - jmax), math.floor(center + jmax) + 1)
+    return range(-(-num // den) - jmax, num // den + jmax + 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,9 +116,6 @@ class CyclicPoint:
         if scaled.denominator != 1:
             raise ValueError(f"{p} is not in (1/{n})Z")
         return CyclicPoint(n, scaled.numerator % n)
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.m, self.n)
 
     def __repr__(self):
         return f"[{self.m}/{self.n}]"

@@ -60,6 +60,23 @@ class TestStarCount:
                 # the mean lies between p1 and p2 + j: the short arcs add up to the long one
                 assert tri.stars == 2 * abs(math.ceil(p2 + tri.j) - math.ceil(p1))
 
+    def test_integer_stars_match_the_fraction_vertices(self):
+        # points off the basis grid too: the integer stars and the derived
+        # Fraction vertices must describe the same triangle
+        rng = random.Random(34)
+        for case in range(200):
+            n1, n2 = rng.randint(1, 6), rng.randint(1, 6)
+            if case % 2:
+                p1 = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+                p2 = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+            else:
+                p1 = Fraction(rng.randrange(n1), n1)
+                p2 = Fraction(rng.randrange(n2), n2)
+            for tri in fukaya.enumerate_triangles(n1, p1, n2, p2, rng.randint(1, 8)):
+                assert tri.stars == fukaya.star_count(tri)
+                assert tri.p2j == p2 + tri.j
+                assert tri.vertices[2] == ((n1 * p1 + n2 * (p2 + tri.j)) / (n1 + n2), 0)
+
 
 class TestFloerProduct:
     def test_square_of_degree_one(self):

@@ -108,6 +108,60 @@ class TestJWindow:
             assert inside == wide
 
 
+class TestIntegerKernels:
+    """lambda_exp and j_range on cleared integers against their Fraction forms."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(degrees, rationals | st.integers(-20, 20), degrees, rationals | st.integers(-20, 20))
+    def test_lambda_exp_equals_its_oracle(self, n1, p1, n2, p2):
+        lam = theta.lambda_exp(n1, p1, n2, p2)
+        assert type(lam) is Fraction
+        assert lam == theta.lambda_exp_reference(n1, p1, n2, p2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(degrees, rationals, degrees, rationals, st.integers(0, 40))
+    def test_j_range_equals_fraction_bounds(self, n1, p1, n2, p2, order):
+        import math
+        jmax = theta.j_window(n1, n2, order)
+        center = p1 - p2
+        assert theta.j_range(n1, p1, n2, p2, order) == range(
+            math.ceil(center - jmax), math.floor(center + jmax) + 1)
+
+    def test_j_window_equals_the_search_loop(self):
+        def searched(n1, n2, order):
+            j = 1
+            while n1 * n2 * (j - 1) ** 2 <= 2 * (n1 + n2) * (order + n1 + n2):
+                j += 1
+            return j
+
+        for n1 in range(1, 31):
+            for n2 in range(1, 31):
+                for order in range(101):
+                    assert theta.j_window(n1, n2, order) == searched(n1, n2, order)
+
+    def test_kernels_share_no_code_with_the_oracle(self, monkeypatch):
+        cases = [(3, Fraction(1, 3), 5, Fraction(-7, 5)), (2, Fraction(1, 7), 3, Fraction(5, 4)),
+                 (1, 0, 1, 3), (4, Fraction(-9, 4), 1, Fraction(2, 3))]
+        expected = [theta.lambda_exp_reference(*case) for case in cases]
+
+        def forbidden(*args):
+            raise AssertionError("Fraction oracle used by an integer kernel")
+
+        for name in ("phi", "psi", "weighted_mean"):
+            monkeypatch.setattr(theta, name, forbidden)
+        assert [theta.lambda_exp(*case) for case in cases] == expected
+        assert theta.j_range(3, Fraction(-5, 3), 2, Fraction(1, 2), 10) == range(-9, 5)
+        assert theta.j_range(2, Fraction(1, 7), 3, Fraction(5, 4), 4) == range(-6, 4)
+        prod = theta.theta_mul(theta.ThetaElement.basis(2, Fraction(1, 2), 9),
+                               theta.ThetaElement.basis(3, Fraction(1, 3), 9))
+        assert {pt.m: list(c.coeffs) for pt, c in prod.coeffs.items()} == {
+            0: [0, 1, 0, 0, 0, 0, 0, 0, 0], 1: [0, 0, 0, 1, 0, 1, 0, 0, 0],
+            2: [1, 0, 0, 0, 0, 0, 0, 0, 0], 3: [0, 0, 1, 0, 0, 0, 1, 0, 0],
+            4: [0, 1, 0, 0, 0, 0, 0, 0, 0]}
+        with pytest.raises(AssertionError):
+            theta.lambda_exp_reference(1, 0, 1, 3)
+
+
 class TestCyclicPoint:
     def test_reduction(self):
         assert theta.CyclicPoint.from_fraction(3, Fraction(5, 3)).m == 2
@@ -119,7 +173,7 @@ class TestCyclicPoint:
 
     def test_graded_basis(self):
         assert theta.graded_basis(1) == [theta.CyclicPoint(1, 0)]
-        assert [pt.as_fraction() for pt in theta.graded_basis(3)] == [
+        assert [Fraction(pt.m, pt.n) for pt in theta.graded_basis(3)] == [
             Fraction(0), Fraction(1, 3), Fraction(2, 3)]
         assert len(theta.graded_basis(6)) == 6
 
@@ -135,7 +189,7 @@ class TestThetaMul:
     def test_mixed_product_at_q0(self):
         prod = theta.theta_mul(theta.ThetaElement.basis(1, 0, 1),
                                theta.ThetaElement.basis(2, Fraction(1, 2), 1))
-        support = {pt.as_fraction(): c.coeffs[0]
+        support = {Fraction(pt.m, pt.n): c.coeffs[0]
                    for pt, c in prod.coeffs.items() if not c.is_zero()}
         assert support == {Fraction(1, 3): 1, Fraction(2, 3): 1}
 

@@ -1,0 +1,108 @@
+"""Planted-fault census: which deliberate faults does the tier-1 suite catch?
+
+    python3 tools/faults.py
+
+Each fault is one exact text edit to a file under ``src/tatemirror``.  For
+each, ``src/``, ``tests/`` and ``pyproject.toml`` are copied to a temporary
+directory, the edit is applied there, and the tier-1 tests run against the
+copy with ``-x``.  A fault is killed when the run fails, and the first
+failing test is printed; it survives when every test passes.  The exit
+status is 1 if any fault survives (or an edit no longer applies), else 0.
+Standard library only; the working tree is never modified.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TIMEOUT_S = 900
+
+# (name, file under src/tatemirror, exact old text, new text)
+FAULTS = [
+    ("eps tie-break flipped in count_perturbed", "lattice.py",
+     "bound = q if (r == 0 and ec > 0) else q + 1",
+     "bound = q if (r == 0 and ec < 0) else q + 1"),
+    ("one term of _row_count", "lattice.py",
+     "Fraction(n1 * q2 * q2, 2) + r1 * q1", "Fraction(n1 * q2 * q2, 2) - r1 * q1"),
+    ("sigma5 -> sigma3 in tate_coeffs", "weierstrass.py",
+     "s5 = divisor_power_sum(5, n)", "s5 = divisor_power_sum(3, n)"),
+    ("one sign in reparam_apply's b4", "weierstrass.py",
+     "r * r * 3 - s * t * 2) * ui4", "r * r * 3 + s * t * 2) * ui4"),
+    ("% p dropped from Ring.mul", "exactnum.py",
+     "return (a * b) % self.p if self.kind == \"GF\" else a * b", "return a * b"),
+    ("_global_sign accepts any s", "cli.py",
+     "if all(computed[key] == [fld.coerce(s * v) for v in want]",
+     "if s or all(computed[key] == [fld.coerce(s * v) for v in want]"),
+    ("j_window shrunk to a third", "theta.py",
+     "return math.isqrt(2 * n3 * (order + n3) // (n1 * n2)) + 2",
+     "return (math.isqrt(2 * n3 * (order + n3) // (n1 * n2)) + 2) // 3"),
+    ("Koszul boundary dropped", "hochschild.py",
+     "return len(kernel) - boundary.low_rank(), ", "return len(kernel), "),
+    ("f*(f-1) -> f*(f+1) in lambda_exp", "theta.py",
+     "whole += n * f * (f - 1) // 2", "whole += n * f * (f + 1) // 2"),
+    ("+ 1 dropped from j_range's upper bound", "theta.py",
+     "num // den + jmax + 1)", "num // den + jmax)"),
+    ("floor instead of ceil for c3 in enumerate_triangles", "fukaya.py",
+     "c3 = -(-b // d2), -(-(n1 * a1 * d2 + n2 * b * d1) // mean_den)",
+     "c3 = -(-b // d2), (n1 * a1 * d2 + n2 * b * d1) // mean_den"),
+    ("abs dropped from one star term", "fukaya.py",
+     "stars = abs(c3 - c1) + abs(c2 - c1)", "stars = (c3 - c1) + abs(c2 - c1)"),
+]
+
+
+def _first_failure(output: str) -> str:
+    for line in output.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            return line.split(" ", 1)[1].split(" - ", 1)[0]
+    return output.strip().splitlines()[-1] if output.strip() else "(no output)"
+
+
+def run_fault(name: str, filename: str, old: str, new: str) -> tuple:
+    """Plant one fault in a scratch copy and run tier-1 on it with -x.
+
+    Returns (status, detail) with status "killed", "survived" or "stale"."""
+    with tempfile.TemporaryDirectory(prefix="tatemirror-fault-") as tmp:
+        for part in ("src", "tests"):
+            shutil.copytree(os.path.join(ROOT, part), os.path.join(tmp, part),
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(os.path.join(ROOT, "pyproject.toml"), tmp)
+        path = os.path.join(tmp, "src", "tatemirror", filename)
+        with open(path) as fh:
+            text = fh.read()
+        if text.count(old) != 1:
+            return "stale", f"edit matches {text.count(old)} times in {filename}"
+        with open(path, "w") as fh:
+            fh.write(text.replace(old, new))
+        env = dict(os.environ, PYTHONPATH=os.path.join(tmp, "src"))
+        cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+               "--continue-on-collection-errors"]
+        try:
+            proc = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True,
+                                  text=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return "killed", f"timed out after {TIMEOUT_S} s"
+    if proc.returncode == 0:
+        return "survived", "every tier-1 test passed"
+    return "killed", _first_failure(proc.stdout + proc.stderr)
+
+
+def main() -> int:
+    bad = 0
+    for name, filename, old, new in FAULTS:
+        start = time.perf_counter()
+        status, detail = run_fault(name, filename, old, new)
+        bad += status != "killed"
+        print(f"{status:8}  {name}  ({time.perf_counter() - start:.1f} s): {detail}",
+              flush=True)
+    print(f"{len(FAULTS) - bad} of {len(FAULTS)} faults killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
