@@ -23,7 +23,7 @@ from .errors import VerificationFailure
 from .exactnum import QQ, ZZ, QSeries
 from ._linalg import det, nullspace, solve_right, transpose
 from .theta import ThetaElement as FloerElement
-from .theta import CyclicPoint, graded_basis, j_range, theta_mul, weighted_mean
+from .theta import _slots, graded_basis, j_range, theta_mul, weighted_mean
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,8 @@ def _floer_terms(n1: int, m1: int, n2: int, m2: int, order: int):
     """Floer basis product of the slots m1/n1 and m2/n2: one q-power per
     immersed triangle (every sign is +1), landing in the slot of its third
     vertex (m1 + m2 + n2*j)/(n1 + n2)."""
-    return [(CyclicPoint(n1 + n2, (m1 + m2 + n2 * tri.j) % (n1 + n2)), tri.q_exponent)
+    slots = _slots(n1 + n2)
+    return [(slots[(m1 + m2 + n2 * tri.j) % (n1 + n2)], tri.q_exponent)
             for tri in enumerate_triangles(n1, Fraction(m1, n1), n2, Fraction(m2, n2), order)]
 
 
@@ -249,10 +250,6 @@ def relation_kernel(order: int):
         if not total.is_zero():
             raise VerificationFailure(f"relation residual nonzero in slot {pt!r}")
     return series
-
-
-def relation_is_integral(series) -> bool:
-    return all(c.denominator == 1 for s in series for c in s.coeffs)
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,10 @@ case ever depends on a numeric epsilon.  These counts are the independent
 oracle for the q-exponents of the section ring and the Floer products.
 
 ``count_perturbed`` is the production kernel: it clears denominators once and
-works on integer vertices only.  ``PerturbedTriangle``, ``EpsRational``,
-``count_perturbed_reference`` and ``row_formula_count`` are the Fraction
-oracles it is tested against, and share no vertex code with it.
+works on integer vertices only.  ``row_formula_count`` is an independent
+oracle, a closed formula on the same cleared integers that shares no code with
+it.  ``PerturbedTriangle``, ``EpsRational`` and ``count_perturbed_reference``
+are the Fraction oracles, and share no vertex code with either.
 """
 
 from __future__ import annotations
@@ -195,16 +196,16 @@ def count_perturbed_reference(n1: int, p1, n2: int, p2) -> int:
     return count
 
 
-def _row_count(n1: int, q1, r1, p1, q2) -> Fraction:
-    """Perturbed points in the right triangle over [p1, p2] under slope -n1.
+def _row_count(n: int, q: int, R: int, P: int, q2: int, D: int) -> int:
+    """2*D times the perturbed points in the right triangle over [p, p2]
+    under slope -n, for p = P/D = q + R/(n*D) and q2 = floor(p2).
 
     Closed form from counting rows, with the trapezium to the right of
-    x = q2 shaved off and its strip count n1*(q2 - p1) added back.
+    x = q2 shaved off and its strip count n*(q2 - p) added back.
     """
-    base = (Fraction(n1 * q1 * q1, 2) + Fraction(n1 * q2 * q2, 2) + r1 * q1
-            - n1 * q1 * q2 - r1 * q2 - Fraction(n1 * q2, 2)
-            + Fraction(n1 * q1, 2) + r1)
-    return base + n1 * (q2 - p1)
+    return (D * n * q * q + D * n * q2 * q2 + 2 * R * q
+            - 2 * D * n * q * q2 - 2 * R * q2 - D * n * q2
+            + D * n * q + 2 * R + 2 * (D * n * q2 - n * P))
 
 
 def row_formula_count(n1: int, p1, n2: int, p2) -> int:
@@ -212,21 +213,25 @@ def row_formula_count(n1: int, p1, n2: int, p2) -> int:
 
     Splits each point as p = q + r/n with q integral and 0 <= r < n, applies
     the closed formula to the outer right triangle and to the inner one cut
-    off by the steeper slope, and returns the difference.
+    off by the steeper slope, and returns the difference.  On integers: with
+    p1 = a1/d1, p2 = a2/d2 and D = lcm(d1, d2)*(n1 + n2), each point scaled by
+    D is an integer P, q = P // D and R = n*(P - q*D) = D*r, so 2*D times each
+    closed form is an integer polynomial and the count is one exact division
+    by 2*D.  Takes ints or Fractions.
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("degrees must be positive")
-    p1, p2 = Fraction(p1), Fraction(p2)
+    a1, d1, a2, d2 = p1.numerator, p1.denominator, p2.numerator, p2.denominator
     n3 = n1 + n2
-    p3 = (n1 * p1 + n2 * p2) / n3
+    D = math.lcm(d1, d2) * n3
+    P1, P2 = a1 * (D // d1), a2 * (D // d2)
+    P3 = (n1 * P1 + n2 * P2) // n3
+    q1, q2, q3 = P1 // D, P2 // D, P3 // D
 
-    q1 = math.floor(p1)
-    r1 = n1 * (p1 - q1)
-    q2 = math.floor(p2)
-    q3 = math.floor(p3)
-    r3 = n3 * (p3 - q3)
-
-    diff = _row_count(n1, q1, r1, p1, q2) - _row_count(n3, q3, r3, p3, q2)
-    if diff.denominator != 1:
-        raise ValueError(f"non-integral count {diff}; inputs not in (1/n)Z")
-    return int(diff)
+    total = (_row_count(n1, q1, n1 * (P1 - q1 * D), P1, q2, D)
+             - _row_count(n3, q3, n3 * (P3 - q3 * D), P3, q2, D))
+    count, rem = divmod(total, 2 * D)
+    if rem:
+        raise ValueError(f"non-integral count {Fraction(total, 2 * D)}; "
+                         "inputs not in (1/n)Z")
+    return count

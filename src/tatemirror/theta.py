@@ -10,6 +10,7 @@ Fraction formulas (``phi``, ``psi``, ``weighted_mean``, ``area``,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -121,11 +122,17 @@ class CyclicPoint:
         return f"[{self.m}/{self.n}]"
 
 
-def graded_basis(n: int):
-    """The n basis indices m/n, 0 <= m < n, of the degree-n piece."""
+@functools.cache
+def _slots(n: int) -> tuple:
+    """The degree-n basis indices as one shared tuple, slot m at index m."""
     if n < 1:
         raise ValueError("degree must be positive")
-    return [CyclicPoint(n, m) for m in range(n)]
+    return tuple(CyclicPoint(n, m) for m in range(n))
+
+
+def graded_basis(n: int):
+    """The n basis indices m/n, 0 <= m < n, of the degree-n piece."""
+    return list(_slots(n))
 
 
 @dataclass(frozen=True)
@@ -141,7 +148,8 @@ class ThetaElement:
     coeffs: dict
 
     def __post_init__(self):
-        if set(self.coeffs) != set(graded_basis(self.degree)):
+        slots = _slots(self.degree)
+        if len(self.coeffs) != len(slots) or not all(map(self.coeffs.__contains__, slots)):
             raise ValueError("element must carry exactly its degree-many slots")
 
     @property
@@ -150,16 +158,15 @@ class ThetaElement:
 
     @staticmethod
     def zero(degree: int, order: int, ring: Ring = ZZ) -> "ThetaElement":
-        z = QSeries.zero(ring, order)
-        return ThetaElement(degree, order, {pt: z for pt in graded_basis(degree)})
+        return ThetaElement(degree, order,
+                            dict.fromkeys(_slots(degree), QSeries.zero(ring, order)))
 
     @staticmethod
     def basis(degree: int, p, order: int, ring: Ring = ZZ) -> "ThetaElement":
         """The basis element of index p in (1/degree)Z mod Z."""
-        target = CyclicPoint.from_fraction(degree, p)
-        z, one = QSeries.zero(ring, order), QSeries.one(ring, order)
-        return ThetaElement(degree, order, {pt: one if pt == target else z
-                                            for pt in graded_basis(degree)})
+        coeffs = dict.fromkeys(_slots(degree), QSeries.zero(ring, order))
+        coeffs[CyclicPoint.from_fraction(degree, p)] = QSeries.one(ring, order)
+        return ThetaElement(degree, order, coeffs)
 
     def _check(self, other: "ThetaElement", same_degree: bool = True):
         if (same_degree and self.degree != other.degree) or self.order != other.order:
@@ -212,7 +219,7 @@ class ThetaElement:
         """
         self._check(other, same_degree=False)
         n1, n2, order = self.degree, other.degree, self.order
-        out = dict(ThetaElement.zero(n1 + n2, order, self.ring).coeffs)
+        out = dict.fromkeys(_slots(n1 + n2), QSeries.zero(self.ring, order))
         for pt1, c1 in self.coeffs.items():
             if c1.is_zero():
                 continue
@@ -230,13 +237,14 @@ def _section_terms(n1: int, m1: int, n2: int, m2: int, order: int):
 
     The mean of m1/n1 and m2/n2 + j is (m1 + m2 + n2*j)/(n1 + n2), so its
     slot numerator is read off in integers."""
+    slots = _slots(n1 + n2)
     p1, p2 = Fraction(m1, n1), Fraction(m2, n2)
     for j in j_range(n1, p1, n2, p2, order):
         lam = lambda_exp(n1, p1, n2, p2 + j)
         if lam.denominator != 1 or lam < 0:
             raise InvariantError(f"exponent {lam} at ({n1},{p1};{n2},{p2 + j})")
         if lam < order:
-            yield CyclicPoint(n1 + n2, (m1 + m2 + n2 * j) % (n1 + n2)), int(lam)
+            yield slots[(m1 + m2 + n2 * j) % (n1 + n2)], int(lam)
 
 
 def theta_mul(x: ThetaElement, y: ThetaElement) -> ThetaElement:

@@ -162,7 +162,7 @@ class TestRelationKernel:
             assert series[0] == QSeries.one(series[0].ring, order)
 
     def test_integrality(self):
-        assert fukaya.relation_is_integral(fukaya.relation_kernel(6))
+        assert all(type(c) is int for s in fukaya.relation_kernel(6) for c in s.coeffs)
 
     def test_non_unimodular_block_is_rejected(self, monkeypatch):
         # doubling x'^3 leaves a one-dimensional relation space whose

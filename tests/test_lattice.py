@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -130,6 +131,33 @@ class TestCountPerturbed:
         assert all(c in (0, 1) for s in product.coeffs.values() for c in s.coeffs)
 
 
+def _fraction_row_count(n1, q1, r1, p1, q2):
+    base = (Fraction(n1 * q1 * q1, 2) + Fraction(n1 * q2 * q2, 2) + r1 * q1
+            - n1 * q1 * q2 - r1 * q2 - Fraction(n1 * q2, 2)
+            + Fraction(n1 * q1, 2) + r1)
+    return base + n1 * (q2 - p1)
+
+
+def fraction_row_formula_count(n1, p1, n2, p2):
+    """The Fraction closed form that row_formula_count clears to integers."""
+    p1, p2 = Fraction(p1), Fraction(p2)
+    n3 = n1 + n2
+    p3 = (n1 * p1 + n2 * p2) / n3
+    q1, q2, q3 = math.floor(p1), math.floor(p2), math.floor(p3)
+    diff = (_fraction_row_count(n1, q1, n1 * (p1 - q1), p1, q2)
+            - _fraction_row_count(n3, q3, n3 * (p3 - q3), p3, q2))
+    if diff.denominator != 1:
+        raise ValueError(f"non-integral count {diff}")
+    return int(diff)
+
+
+def _count_or_raise(count, *args):
+    try:
+        return count(*args)
+    except ValueError:
+        return ValueError
+
+
 class TestRowFormula:
     def test_small_triangle(self):
         assert lattice.row_formula_count(1, 0, 1, 2) == 1
@@ -160,3 +188,38 @@ class TestRowFormula:
         # p2 integral exercises the direct closed formula
         assert lattice.row_formula_count(3, Fraction(1, 3), 2, 4) == \
             lattice.count_perturbed(3, Fraction(1, 3), 2, 4)
+
+    def test_matches_the_fraction_closed_form_off_the_grid(self):
+        # most of these points are off (1/n)Z: both forms must then raise
+        rng = random.Random(24)
+        raised = 0
+        for _ in range(2000):
+            n1, n2 = rng.randint(1, 8), rng.randint(1, 8)
+            p1 = Fraction(rng.randint(-20, 20), rng.randint(1, 16))
+            p2 = Fraction(rng.randint(-20, 20), rng.randint(1, 16))
+            want = _count_or_raise(fraction_row_formula_count, n1, p1, n2, p2)
+            assert _count_or_raise(lattice.row_formula_count, n1, p1, n2, p2) == want, \
+                (n1, p1, n2, p2)
+            raised += want is ValueError
+        assert 1000 < raised < 1600
+
+    def test_rejects_points_off_the_grid(self):
+        with pytest.raises(ValueError, match="non-integral count"):
+            lattice.row_formula_count(7, -9, 7, Fraction(15, 8))
+        with pytest.raises(ValueError):
+            fraction_row_formula_count(7, -9, 7, Fraction(15, 8))
+
+    def test_shares_no_code_with_the_other_kernels(self, monkeypatch):
+        cases = [(n1, Fraction(m1, n1), n2, Fraction(m2, n2) + j)
+                 for n1 in range(1, 5) for n2 in range(1, 5)
+                 for m1 in range(n1) for m2 in range(n2) for j in range(-4, 5)]
+        counts = [lattice.count_perturbed(*case) for case in cases]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("row_formula_count reached another kernel")
+
+        monkeypatch.setattr(lattice, "count_perturbed", forbidden)
+        monkeypatch.setattr(theta, "lambda_exp", forbidden)
+        with pytest.raises(AssertionError):
+            theta.lambda_exp(1, 0, 1, 3)
+        assert [lattice.row_formula_count(*case) for case in cases] == counts

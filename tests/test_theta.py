@@ -178,6 +178,32 @@ class TestCyclicPoint:
         assert len(theta.graded_basis(6)) == 6
 
 
+class TestSlotValidation:
+    def test_missing_extra_and_foreign_slots_rejected(self):
+        z = QSeries.zero(ZZ, 3)
+        slots = theta.graded_basis(3)
+        with pytest.raises(ValueError):
+            theta.ThetaElement(3, 3, dict.fromkeys(slots[:2], z))
+        with pytest.raises(ValueError):
+            theta.ThetaElement(3, 3, dict.fromkeys(slots + [theta.CyclicPoint(4, 3)], z))
+        with pytest.raises(ValueError):
+            theta.ThetaElement(3, 3, dict.fromkeys(slots[:2] + [theta.CyclicPoint(4, 2)], z))
+        assert theta.ThetaElement(3, 3, dict.fromkeys(reversed(slots), z)) == \
+            theta.ThetaElement.zero(3, 3)
+
+    def test_degree_must_be_positive(self):
+        with pytest.raises(ValueError):
+            theta.graded_basis(0)
+        with pytest.raises(ValueError):
+            theta.ThetaElement.zero(0, 3)
+
+    def test_graded_basis_returns_a_fresh_list(self):
+        first = theta.graded_basis(3)
+        first.append(theta.CyclicPoint(4, 0))
+        first[0] = theta.CyclicPoint(3, 2)
+        assert theta.graded_basis(3) == [theta.CyclicPoint(3, m) for m in range(3)]
+
+
 class TestThetaMul:
     def test_degree_one_square(self):
         x = theta.ThetaElement.basis(1, 0, 6)

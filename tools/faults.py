@@ -29,7 +29,7 @@ FAULTS = [
      "bound = q if (r == 0 and ec > 0) else q + 1",
      "bound = q if (r == 0 and ec < 0) else q + 1"),
     ("one term of _row_count", "lattice.py",
-     "Fraction(n1 * q2 * q2, 2) + r1 * q1", "Fraction(n1 * q2 * q2, 2) - r1 * q1"),
+     "D * n * q2 * q2 + 2 * R * q", "D * n * q2 * q2 - 2 * R * q"),
     ("sigma5 -> sigma3 in tate_coeffs", "weierstrass.py",
      "s5 = divisor_power_sum(5, n)", "s5 = divisor_power_sum(3, n)"),
     ("one sign in reparam_apply's b4", "weierstrass.py",
