@@ -3,10 +3,11 @@
 Degree-n generators are indexed by (1/n)Z mod Z, matching the intersections
 of the horizontal line with a line of slope -n.  Products are sums over
 immersed triangles: one per integer shift j, weighted by q to the number of
-perturbed lattice points inside the planar lift and signed by the parity of
-boundary stars, which is always even, so every sign is +1.  Elements share
-the section ring's basis and type (``FloerElement`` is
-``theta.ThetaElement``); only the basis product differs.
+perturbed lattice points inside the planar lift.  Every sign is +1: the sign
+is the parity of boundary stars, which is always even, so the products never
+count stars; ``star_count`` derives them from a triangle's Fraction vertices
+for the parity check only.  Elements share the section ring's slot-row type
+(``FloerElement`` is ``theta.ThetaElement``); only the basis product differs.
 The q-exponents come from lattice counting only; the section-ring
 multiplication rule is consulted only by the q = 0 cross-check in
 ``dehn_table_q0``.
@@ -23,13 +24,13 @@ from .errors import VerificationFailure
 from .exactnum import QQ, ZZ, QSeries
 from ._linalg import det, nullspace, solve_right, transpose
 from .theta import ThetaElement as FloerElement
-from .theta import _slots, graded_basis, j_range, theta_mul, weighted_mean
+from .theta import j_range, theta_mul, weighted_mean
 
 
 @dataclass(frozen=True)
 class ImmersedTriangle:
     """One product contribution: the triangle of p1 (degree n1) and p2j = p2 + j
-    (degree n2); its Fraction vertices and sign are derived on demand."""
+    (degree n2); its Fraction vertices, stars and sign are derived on demand."""
 
     n1: int
     p1: Fraction
@@ -37,7 +38,6 @@ class ImmersedTriangle:
     p2j: Fraction
     j: int
     q_exponent: int
-    stars: int
 
     @property
     def vertices(self):
@@ -46,7 +46,7 @@ class ImmersedTriangle:
 
     @property
     def sign(self) -> int:
-        return (-1) ** self.stars
+        return (-1) ** star_count(self)
 
 
 def star_count(tri: ImmersedTriangle) -> int:
@@ -65,35 +65,28 @@ def enumerate_triangles(n1: int, p1, n2: int, p2, order: int):
     """All immersed triangles contributing below the truncation order.
 
     One triangle per shift j in the enumeration window; each carries its
-    perturbed-lattice-point count as q-exponent and its boundary star count.
-    Triangles whose exponent reaches the order are dropped.  The stars are
-    integer ceiling differences of the x-coordinates a1/d1, b/d2 and
-    (n1*a1*d2 + n2*b*d1)/((n1 + n2)*d1*d2), where b = a2 + j*d2.
+    perturbed-lattice-point count as q-exponent.  Triangles whose exponent
+    reaches the order are dropped.  No star is counted here: the stars come
+    only from ``star_count`` on the triangle's Fraction vertices.
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("degrees must be positive")
     p1, p2 = Fraction(p1), Fraction(p2)
-    a1, d1, a2, d2 = p1.numerator, p1.denominator, p2.numerator, p2.denominator
-    c1, mean_den = -(-a1 // d1), (n1 + n2) * d1 * d2
     out = []
     for j in j_range(n1, p1, n2, p2, order):
         p2j = p2 + j
         exponent = lattice.count_perturbed(n1, p1, n2, p2j)
-        if exponent >= order:
-            continue
-        b = a2 + j * d2
-        c2, c3 = -(-b // d2), -(-(n1 * a1 * d2 + n2 * b * d1) // mean_den)
-        stars = abs(c3 - c1) + abs(c2 - c1) + abs(c2 - c3)
-        out.append(ImmersedTriangle(n1, p1, n2, p2j, j, exponent, stars))
+        if exponent < order:
+            out.append(ImmersedTriangle(n1, p1, n2, p2j, j, exponent))
     return out
 
 
 def _floer_terms(n1: int, m1: int, n2: int, m2: int, order: int):
     """Floer basis product of the slots m1/n1 and m2/n2: one q-power per
-    immersed triangle (every sign is +1), landing in the slot of its third
-    vertex (m1 + m2 + n2*j)/(n1 + n2)."""
-    slots = _slots(n1 + n2)
-    return [(slots[(m1 + m2 + n2 * tri.j) % (n1 + n2)], tri.q_exponent)
+    immersed triangle (every sign is +1), as (target slot numerator, exponent)
+    in plain ints; the target is the slot of the third vertex
+    (m1 + m2 + n2*j)/(n1 + n2)."""
+    return [((m1 + m2 + n2 * tri.j) % (n1 + n2), tri.q_exponent)
             for tri in enumerate_triangles(n1, Fraction(m1, n1), n2, Fraction(m2, n2), order)]
 
 
@@ -187,7 +180,7 @@ def _degree_six_monomials(order: int):
 
 def _q0_matrix(monos):
     """The 6x7 integer matrix of q^0 coefficients: degree-6 slots x monomials."""
-    return transpose([[m.coeffs[pt].coeffs[0] for pt in graded_basis(6)] for m in monos])
+    return transpose([[row.coeffs[0] for row in m.rows] for m in monos])
 
 
 def relation_certificate():
@@ -212,9 +205,8 @@ def relation_kernel(order: int):
     if order < 1:
         raise ValueError("order must be >= 1")
     monos = _degree_six_monomials(order)
-    slots = graded_basis(6)
     # entries[row][col]: the q-coefficients of monomial row in slot col
-    entries = [[m.coeffs[pt].coeffs for pt in slots] for m in monos]
+    entries = [[slot.coeffs for slot in m.rows] for m in monos]
 
     m0t = _q0_matrix(monos)
     kernel = nullspace(m0t, QQ)
@@ -243,12 +235,12 @@ def relation_kernel(order: int):
               for i in range(7)]
 
     # residual must vanish identically below the truncation order
-    for pt in slots:
+    for m in range(6):
         total = QSeries.zero(ZZ, order)
         for i in range(7):
-            total = total + series[i] * monos[i].coeffs[pt]
+            total = total + series[i] * monos[i].rows[m]
         if not total.is_zero():
-            raise VerificationFailure(f"relation residual nonzero in slot {pt!r}")
+            raise VerificationFailure(f"relation residual nonzero in slot [{m}/6]")
     return series
 
 

@@ -1,8 +1,10 @@
 """The graded section ring of the Tate curve in its canonical basis.
 
-Degree-N sections have a basis indexed by the cyclic set (1/N)Z mod Z.  The
+Degree-N sections have a basis indexed by the cyclic set (1/N)Z mod Z; a
+degree-N element is one q-series row per slot numerator m of m/N.  The
 product of basis elements is a sum over an integer index j, with q-exponent
-given by the piecewise-linear excess function ``lambda_exp`` below.
+given by the piecewise-linear excess function ``lambda_exp`` below, landing
+in an integer target slot; ``CyclicPoint`` only names slots for callers.
 ``lambda_exp`` and ``j_range`` work on denominator-cleared integers only; the
 Fraction formulas (``phi``, ``psi``, ``weighted_mean``, ``area``,
 ``lambda_exp_reference``) are their oracles and share no code with them.
@@ -10,7 +12,6 @@ Fraction formulas (``phi``, ``psi``, ``weighted_mean``, ``area``,
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -112,61 +113,71 @@ class CyclicPoint:
 
     @staticmethod
     def from_fraction(n: int, p) -> "CyclicPoint":
-        p = Fraction(p)
-        scaled = p * n
-        if scaled.denominator != 1:
-            raise ValueError(f"{p} is not in (1/{n})Z")
-        return CyclicPoint(n, scaled.numerator % n)
+        return CyclicPoint(n, _slot(n, p))
 
     def __repr__(self):
         return f"[{self.m}/{self.n}]"
 
 
-@functools.cache
-def _slots(n: int) -> tuple:
-    """The degree-n basis indices as one shared tuple, slot m at index m."""
+def _slot(n: int, p) -> int:
+    """The slot numerator m of p in (1/n)Z mod Z, with 0 <= m < n."""
     if n < 1:
         raise ValueError("degree must be positive")
-    return tuple(CyclicPoint(n, m) for m in range(n))
+    scaled = Fraction(p) * n
+    if scaled.denominator != 1:
+        raise ValueError(f"{p} is not in (1/{n})Z")
+    return scaled.numerator % n
 
 
 def graded_basis(n: int):
     """The n basis indices m/n, 0 <= m < n, of the degree-n piece."""
-    return list(_slots(n))
+    if n < 1:
+        raise ValueError("degree must be positive")
+    return [CyclicPoint(n, m) for m in range(n)]
 
 
 @dataclass(frozen=True)
 class ThetaElement:
-    """A degree-n element: a coefficient q-series for each of the n slots.
+    """A degree-n element: one coefficient q-series per slot, ``rows[m]`` at m/n.
 
     The section ring and the Floer ring share this basis; they differ only in
     the product of two basis elements, which ``bilinear`` takes as an argument.
+    Every row has the element's truncation order and all rows share one ring.
     """
 
     degree: int
     order: int
-    coeffs: dict
+    rows: tuple
 
     def __post_init__(self):
-        slots = _slots(self.degree)
-        if len(self.coeffs) != len(slots) or not all(map(self.coeffs.__contains__, slots)):
-            raise ValueError("element must carry exactly its degree-many slots")
+        object.__setattr__(self, "rows", tuple(self.rows))
+        if self.degree < 1 or len(self.rows) != self.degree:
+            raise ValueError("element must carry exactly its degree-many slot rows")
+        if any(row.order != self.order for row in self.rows):
+            raise ValueError(f"a slot series is not truncated at order {self.order}")
+        ring = self.rows[0].ring
+        if any(row.ring is not ring for row in self.rows):
+            raise RingMismatchError("slot series over different rings")
 
     @property
     def ring(self) -> Ring:
-        return next(iter(self.coeffs.values())).ring
+        return self.rows[0].ring
+
+    @property
+    def coeffs(self) -> dict:
+        """Read-only view: the basis index m/n -> its slot series."""
+        return {CyclicPoint(self.degree, m): row for m, row in enumerate(self.rows)}
 
     @staticmethod
     def zero(degree: int, order: int, ring: Ring = ZZ) -> "ThetaElement":
-        return ThetaElement(degree, order,
-                            dict.fromkeys(_slots(degree), QSeries.zero(ring, order)))
+        return ThetaElement(degree, order, (QSeries.zero(ring, order),) * degree)
 
     @staticmethod
     def basis(degree: int, p, order: int, ring: Ring = ZZ) -> "ThetaElement":
         """The basis element of index p in (1/degree)Z mod Z."""
-        coeffs = dict.fromkeys(_slots(degree), QSeries.zero(ring, order))
-        coeffs[CyclicPoint.from_fraction(degree, p)] = QSeries.one(ring, order)
-        return ThetaElement(degree, order, coeffs)
+        rows = [QSeries.zero(ring, order)] * degree
+        rows[_slot(degree, p)] = QSeries.one(ring, order)
+        return ThetaElement(degree, order, rows)
 
     def _check(self, other: "ThetaElement", same_degree: bool = True):
         if (same_degree and self.degree != other.degree) or self.order != other.order:
@@ -177,57 +188,54 @@ class ThetaElement:
     def __add__(self, other):
         self._check(other)
         return ThetaElement(self.degree, self.order,
-                            {pt: c + other.coeffs[pt] for pt, c in self.coeffs.items()})
+                            [a + b for a, b in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
         self._check(other)
         return ThetaElement(self.degree, self.order,
-                            {pt: c - other.coeffs[pt] for pt, c in self.coeffs.items()})
+                            [a - b for a, b in zip(self.rows, other.rows)])
 
     def __neg__(self):
-        return ThetaElement(self.degree, self.order,
-                            {pt: -c for pt, c in self.coeffs.items()})
+        return ThetaElement(self.degree, self.order, [-c for c in self.rows])
 
     def scale(self, factor) -> "ThetaElement":
         """Multiply every slot by an integer or a q-series."""
-        return ThetaElement(self.degree, self.order,
-                            {pt: c * factor for pt, c in self.coeffs.items()})
+        return ThetaElement(self.degree, self.order, [c * factor for c in self.rows])
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs.values())
+        return all(c.is_zero() for c in self.rows)
 
     def coeff(self, p) -> QSeries:
-        return self.coeffs[CyclicPoint.from_fraction(self.degree, p)]
+        return self.rows[_slot(self.degree, p)]
 
     def q0_map(self) -> dict:
         """Slot index m -> constant coefficient, omitting zeros."""
-        return {pt.m: c.coeffs[0] for pt, c in sorted(
-            self.coeffs.items(), key=lambda kv: kv[0].m) if c.coeffs[0]}
+        return {m: c.coeffs[0] for m, c in enumerate(self.rows) if c.coeffs[0]}
 
     def __repr__(self):
-        parts = [f"{c!r}*e{pt!r}" for pt, c in sorted(
-            self.coeffs.items(), key=lambda kv: kv[0].m) if not c.is_zero()]
+        parts = [f"{c!r}*e[{m}/{self.degree}]"
+                 for m, c in enumerate(self.rows) if not c.is_zero()]
         return " + ".join(parts) if parts else f"0 (degree {self.degree})"
 
     def bilinear(self, other: "ThetaElement", terms) -> "ThetaElement":
-        """Bilinear extension of a product of basis elements.
+        """Bilinear extension of a product of basis elements, row by row.
 
-        ``terms(n1, m1, n2, m2, order)`` yields ``(target slot, q-exponent)``
-        for each term of the product of the basis elements at the slot
-        numerators m1 (of m1/n1) and m2 (of m2/n2); exponents are below the
-        truncation order and every term has sign +1.
+        ``terms(n1, m1, n2, m2, order)`` yields ``(target slot numerator,
+        q-exponent)`` as plain ints for each term of the product of the basis
+        elements at the slot numerators m1 (of m1/n1) and m2 (of m2/n2);
+        exponents are below the truncation order and every term has sign +1.
         """
         self._check(other, same_degree=False)
         n1, n2, order = self.degree, other.degree, self.order
-        out = dict.fromkeys(_slots(n1 + n2), QSeries.zero(self.ring, order))
-        for pt1, c1 in self.coeffs.items():
+        out = [QSeries.zero(self.ring, order)] * (n1 + n2)
+        for m1, c1 in enumerate(self.rows):
             if c1.is_zero():
                 continue
-            for pt2, c2 in other.coeffs.items():
+            for m2, c2 in enumerate(other.rows):
                 if c2.is_zero():
                     continue
                 c12 = c1 * c2
-                for target, exponent in terms(n1, pt1.m, n2, pt2.m, order):
+                for target, exponent in terms(n1, m1, n2, m2, order):
                     out[target] = out[target] + c12.shift(exponent)
         return ThetaElement(n1 + n2, order, out)
 
@@ -237,14 +245,13 @@ def _section_terms(n1: int, m1: int, n2: int, m2: int, order: int):
 
     The mean of m1/n1 and m2/n2 + j is (m1 + m2 + n2*j)/(n1 + n2), so its
     slot numerator is read off in integers."""
-    slots = _slots(n1 + n2)
     p1, p2 = Fraction(m1, n1), Fraction(m2, n2)
     for j in j_range(n1, p1, n2, p2, order):
         lam = lambda_exp(n1, p1, n2, p2 + j)
         if lam.denominator != 1 or lam < 0:
             raise InvariantError(f"exponent {lam} at ({n1},{p1};{n2},{p2 + j})")
         if lam < order:
-            yield slots[(m1 + m2 + n2 * j) % (n1 + n2)], int(lam)
+            yield (m1 + m2 + n2 * j) % (n1 + n2), int(lam)
 
 
 def theta_mul(x: ThetaElement, y: ThetaElement) -> ThetaElement:

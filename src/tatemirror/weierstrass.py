@@ -450,12 +450,6 @@ def lie_d_matrix(ring: Ring):
     return matrix, 5 - rk, 4 - rk
 
 
-def ker_d_basis(ring: Ring):
-    """LieElements spanning ker d over the field."""
-    matrix, _, _ = lie_d_matrix(ring)
-    return [LieElement(ring, *v) for v in _linalg.nullspace(matrix, ring)]
-
-
 @functools.cache
 def _coker_projection(ring: Ring):
     """Row-reduced image of d, used to cut im d out of coefficient vectors;

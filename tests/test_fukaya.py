@@ -45,7 +45,7 @@ class TestStarCount:
     def test_displayed_formula_value(self):
         tri, = [t for t in fukaya.enumerate_triangles(1, 0, 1, 2, 2) if t.j == 0]
         s = fukaya.star_count(tri)
-        assert s == tri.stars == 4
+        assert s == 4
         assert s % 2 == 0
 
     def test_parity_always_even(self):
@@ -58,11 +58,11 @@ class TestStarCount:
                 assert fukaya.star_count(tri) % 2 == 0
                 assert tri.sign == 1
                 # the mean lies between p1 and p2 + j: the short arcs add up to the long one
-                assert tri.stars == 2 * abs(math.ceil(p2 + tri.j) - math.ceil(p1))
+                assert fukaya.star_count(tri) == 2 * abs(math.ceil(p2 + tri.j) - math.ceil(p1))
 
     def test_integer_stars_match_the_fraction_vertices(self):
-        # points off the basis grid too: the integer stars and the derived
-        # Fraction vertices must describe the same triangle
+        # points off the basis grid too: the derived Fraction vertices describe
+        # the triangle, and its stars still satisfy the betweenness identity
         rng = random.Random(34)
         for case in range(200):
             n1, n2 = rng.randint(1, 6), rng.randint(1, 6)
@@ -73,7 +73,7 @@ class TestStarCount:
                 p1 = Fraction(rng.randrange(n1), n1)
                 p2 = Fraction(rng.randrange(n2), n2)
             for tri in fukaya.enumerate_triangles(n1, p1, n2, p2, rng.randint(1, 8)):
-                assert tri.stars == fukaya.star_count(tri)
+                assert fukaya.star_count(tri) == 2 * abs(math.ceil(tri.p2j) - math.ceil(p1))
                 assert tri.p2j == p2 + tri.j
                 assert tri.vertices[2] == ((n1 * p1 + n2 * (p2 + tri.j)) / (n1 + n2), 0)
 
@@ -140,6 +140,37 @@ class TestFloerIndependence:
             theta.theta_mul(theta.ThetaElement.basis(1, 0, 2),
                             theta.ThetaElement.basis(1, 0, 2))
         assert self._products(6) == expected
+
+
+class TestSlotRows:
+    def test_products_never_build_or_hash_a_cyclic_point(self, monkeypatch):
+        # elements are rows by slot numerator: CyclicPoint only names slots
+        # for the coeffs view, so no product path may construct or hash one
+        pairs, triples = TestFloerIndependence.PAIRS, TestFloerIndependence.TRIPLES
+        order = 4
+        bases = [[theta.ThetaElement.basis(n, p, order) for n, p in t] for t in triples]
+        expected = [fukaya.floer_product(*pair, order) for pair in pairs]
+
+        def forbidden(*args):
+            raise AssertionError("CyclicPoint built or hashed on a product path")
+
+        monkeypatch.setattr(theta.CyclicPoint, "__hash__", forbidden)
+        monkeypatch.setattr(theta.CyclicPoint, "__post_init__", forbidden)
+        for (n1, p1, n2, p2), want in zip(pairs, expected):
+            assert fukaya.floer_product(n1, p1, n2, p2, order) == want
+            assert theta.theta_mul(theta.ThetaElement.basis(n1, p1, order),
+                                   theta.ThetaElement.basis(n2, p2, order)) == want
+        for a, b, c in bases:
+            left = fukaya.floer_mul(fukaya.floer_mul(a, b), c)
+            assert left == fukaya.floer_mul(a, fukaya.floer_mul(b, c))
+            assert left == theta.theta_mul(theta.theta_mul(a, b), c)
+        assert [list(r.coeffs) for r in expected[2].rows] == [
+            [0, 1, 0, 0], [0] * 4, [0] * 4, [1, 0, 0, 0], [0, 0, 1, 0], [0] * 4, [0, 0, 1, 0]]
+        a, b, c = bases[1]
+        assert [list(r.coeffs) for r in fukaya.floer_mul(fukaya.floer_mul(a, b), c).rows] == [
+            [0, 2, 2, 0], [1, 1, 1, 3], [1, 2, 1, 1], [1, 2, 1, 1], [1, 1, 1, 3]]
+        with pytest.raises(AssertionError):
+            theta.CyclicPoint(2, 1)
 
 
 class TestDehnTable:

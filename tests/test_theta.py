@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tatemirror import theta
 from tatemirror.errors import RingMismatchError
-from tatemirror.exactnum import ZZ, QSeries
+from tatemirror.exactnum import QQ, ZZ, QSeries
 from tatemirror.lattice import PerturbedTriangle
 
 
@@ -181,15 +181,17 @@ class TestCyclicPoint:
 class TestSlotValidation:
     def test_missing_extra_and_foreign_slots_rejected(self):
         z = QSeries.zero(ZZ, 3)
-        slots = theta.graded_basis(3)
         with pytest.raises(ValueError):
-            theta.ThetaElement(3, 3, dict.fromkeys(slots[:2], z))
+            theta.ThetaElement(3, 3, (z, z))
         with pytest.raises(ValueError):
-            theta.ThetaElement(3, 3, dict.fromkeys(slots + [theta.CyclicPoint(4, 3)], z))
+            theta.ThetaElement(3, 3, (z, z, z, z))
         with pytest.raises(ValueError):
-            theta.ThetaElement(3, 3, dict.fromkeys(slots[:2] + [theta.CyclicPoint(4, 2)], z))
-        assert theta.ThetaElement(3, 3, dict.fromkeys(reversed(slots), z)) == \
-            theta.ThetaElement.zero(3, 3)
+            theta.ThetaElement(3, 3, (z, QSeries.zero(ZZ, 4), z))
+        with pytest.raises(RingMismatchError):
+            theta.ThetaElement(3, 3, (z, z, QSeries.zero(QQ, 3)))
+        with pytest.raises(ValueError):
+            theta.ThetaElement(2, 5, (QSeries.one(ZZ, 3), QSeries.zero(QQ, 7)))
+        assert theta.ThetaElement(3, 3, (z, z, z)) == theta.ThetaElement.zero(3, 3)
 
     def test_degree_must_be_positive(self):
         with pytest.raises(ValueError):

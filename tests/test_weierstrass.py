@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from tatemirror import _linalg
 from tatemirror import weierstrass as ws
 from tatemirror.errors import InvariantError, NonUnitError, NormalizationFailure
 from tatemirror.exactnum import GF, QQ, ZZ, QSeries, Scalar
@@ -275,10 +276,9 @@ class TestLieLayer:
     @pytest.mark.parametrize("char,coker,ker", [(0, 2, 1), (2, 4, 3), (3, 3, 2)])
     def test_ranks_by_characteristic(self, char, coker, ker):
         fld = QQ if char == 0 else GF(char)
-        _, got_coker, got_ker = ws.lie_d_matrix(fld)
+        matrix, got_coker, got_ker = ws.lie_d_matrix(fld)
         assert (got_coker, got_ker) == (coker, ker)
-        basis = ws.ker_d_basis(fld)
-        assert len(basis) == ker
+        assert len(_linalg.nullspace(matrix, fld)) == ker
 
     def test_vector_field_matches_hand_derivative(self):
         # the x-translation direction at the origin moves (a2, a4, a6)

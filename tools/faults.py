@@ -48,11 +48,12 @@ FAULTS = [
      "whole += n * f * (f - 1) // 2", "whole += n * f * (f + 1) // 2"),
     ("+ 1 dropped from j_range's upper bound", "theta.py",
      "num // den + jmax + 1)", "num // den + jmax)"),
-    ("floor instead of ceil for c3 in enumerate_triangles", "fukaya.py",
-     "c3 = -(-b // d2), -(-(n1 * a1 * d2 + n2 * b * d1) // mean_den)",
-     "c3 = -(-b // d2), (n1 * a1 * d2 + n2 * b * d1) // mean_den"),
+    ("floor instead of ceil for the mean in star_count", "fukaya.py",
+     "abs(math.ceil(mean) - math.ceil(p1))", "abs(math.floor(mean) - math.ceil(p1))"),
     ("abs dropped from one star term", "fukaya.py",
-     "stars = abs(c3 - c1) + abs(c2 - c1)", "stars = (c3 - c1) + abs(c2 - c1)"),
+     "abs(math.ceil(mean) - math.ceil(p1)) +", "(math.ceil(mean) - math.ceil(p1)) +"),
+    ("coefficient product dropped in bilinear", "theta.py",
+     "c12 = c1 * c2", "c12 = c1"),
 ]
 
 
