@@ -1,8 +1,9 @@
-"""Exact scalar arithmetic over Z, Q and prime fields, and truncated q-series.
+"""The rings Z, Q and F_p, and truncated q-series over them.
 
-Everything here is exact: integers are arbitrary precision, rationals are
-``fractions.Fraction``, prime-field elements are reduced residues.  No floats
-appear anywhere in the package.
+``QSeries`` is the one exact value type: an element of the ring itself is a
+series of order 1.  Everything here is exact: integers are arbitrary
+precision, rationals are ``fractions.Fraction``, prime-field elements are
+reduced residues.  No floats appear anywhere in the package.
 """
 
 from __future__ import annotations
@@ -60,9 +61,9 @@ class Ring:
 
     def coerce(self, x):
         """Raw representative of ``x`` (an int, Fraction or raw value)."""
+        if isinstance(x, bool):
+            raise TypeError("bool is not a ring element")
         if self.kind == "ZZ":
-            if isinstance(x, bool):
-                raise TypeError("bool is not a ring element")
             if isinstance(x, int):
                 return x
             if isinstance(x, Fraction):
@@ -125,71 +126,6 @@ def GF(p: int) -> Ring:
 def ring_of_characteristic(char: int) -> Ring:
     """QQ for characteristic 0, GF(p) for characteristic p."""
     return QQ if char == 0 else GF(char)
-
-
-@dataclass(frozen=True, slots=True)
-class Scalar:
-    """A tagged exact scalar.  Arithmetic never silently mixes rings."""
-
-    ring: Ring
-    val: object
-
-    @staticmethod
-    def of(ring: Ring, x) -> "Scalar":
-        return Scalar(ring, ring.coerce(x))
-
-    def _raw(self, other):
-        if isinstance(other, Scalar):
-            if other.ring is not self.ring:
-                raise RingMismatchError(f"{self.ring!r} vs {other.ring!r}")
-            return other.val
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self.ring.coerce(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        raw = self._raw(other)
-        if raw is NotImplemented:
-            return NotImplemented
-        return Scalar(self.ring, self.ring.add(self.val, raw))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        raw = self._raw(other)
-        if raw is NotImplemented:
-            return NotImplemented
-        return Scalar(self.ring, self.ring.sub(self.val, raw))
-
-    def __rsub__(self, other):
-        raw = self._raw(other)
-        if raw is NotImplemented:
-            return NotImplemented
-        return Scalar(self.ring, self.ring.sub(raw, self.val))
-
-    def __neg__(self):
-        return Scalar(self.ring, self.ring.neg(self.val))
-
-    def __mul__(self, other):
-        raw = self._raw(other)
-        if raw is NotImplemented:
-            return NotImplemented
-        return Scalar(self.ring, self.ring.mul(self.val, raw))
-
-    __rmul__ = __mul__
-
-    def invert(self) -> "Scalar":
-        return Scalar(self.ring, self.ring.invert(self.val))
-
-    @property
-    def is_unit(self) -> bool:
-        return self.ring.is_unit(self.val)
-
-    def is_zero(self) -> bool:
-        return self.val == self.ring.zero()
-
-    def __repr__(self):
-        return f"{self.val}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -272,12 +208,6 @@ class QSeries:
             mul = self.ring.mul
             return QSeries(self.ring, self.order,
                            tuple(mul(a, c) for a in self.coeffs))
-        if isinstance(other, Scalar):
-            if other.ring is not self.ring:
-                raise RingMismatchError(f"{self.ring!r} vs {other.ring!r}")
-            mul = self.ring.mul
-            return QSeries(self.ring, self.order,
-                           tuple(mul(a, other.val) for a in self.coeffs))
         self._check(other)
         k = self.order
         a, b = self.coeffs, other.coeffs
@@ -329,12 +259,6 @@ class QSeries:
         dinv = self.ring.invert(self.ring.coerce(d))
         mul = self.ring.mul
         return QSeries(self.ring, self.order, tuple(mul(c, dinv) for c in self.coeffs))
-
-    def coeff(self, i: int) -> Scalar:
-        return Scalar(self.ring, self.coeffs[i])
-
-    def constant(self) -> Scalar:
-        return Scalar(self.ring, self.coeffs[0])
 
     def is_zero(self) -> bool:
         z = self.ring.zero()

@@ -4,7 +4,8 @@ A curve is the projective closure of
 
     y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6
 
-with coefficients in a common ring (exact scalars or truncated q-series).
+with coefficients truncated q-series over a common ring; a curve over the
+ring itself, such as the q = 0 fiber, is the order-1 case.
 The group G of coordinate changes x = u^2 x' + r, y = u^3 y' + u^2 s x' + t
 acts on coefficient vectors; its Lie algebra acts on the coefficient space
 and both actions are realized here exactly.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 from . import _linalg
 from .errors import InvariantError, NonUnitError, NormalizationFailure, RingMismatchError
-from .exactnum import QQ, ZZ, QSeries, Ring, Scalar, divisor_power_sum
+from .exactnum import QQ, ZZ, QSeries, Ring, divisor_power_sum
 
 COEFF_NAMES = ("a1", "a2", "a3", "a4", "a6")
 LIE_NAMES = ("ds", "dr", "dt", "du")
@@ -26,25 +27,22 @@ LIE_NAMES = ("ds", "dr", "dt", "du")
 
 @dataclass(frozen=True)
 class WeierstrassCoeffs:
-    """The five coefficients (a1, a2, a3, a4, a6), all over one ring."""
+    """The five coefficients (a1, a2, a3, a4, a6), q-series of one order over one ring.
 
-    a1: object
-    a2: object
-    a3: object
-    a4: object
-    a6: object
+    A curve over the ring itself is the order-1 case.
+    """
+
+    a1: QSeries
+    a2: QSeries
+    a3: QSeries
+    a4: QSeries
+    a6: QSeries
 
     def __post_init__(self):
-        kinds = {type(v) for v in self.as_tuple()}
-        if len(kinds) != 1:
-            raise RingMismatchError("mixed scalar/series coefficients")
-        rings = {v.ring for v in self.as_tuple()}
-        if len(rings) != 1:
+        if len({v.ring for v in self.as_tuple()}) != 1:
             raise RingMismatchError("coefficients over different rings")
-        if self.is_series:
-            orders = {v.order for v in self.as_tuple()}
-            if len(orders) != 1:
-                raise RingMismatchError("coefficients with different orders")
+        if len({v.order for v in self.as_tuple()}) != 1:
+            raise RingMismatchError("coefficients with different orders")
 
     def as_tuple(self):
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
@@ -53,13 +51,9 @@ class WeierstrassCoeffs:
     def ring(self) -> Ring:
         return self.a1.ring
 
-    @property
-    def is_series(self) -> bool:
-        return isinstance(self.a1, QSeries)
-
     @staticmethod
     def from_ints(ring: Ring, values) -> "WeierstrassCoeffs":
-        return WeierstrassCoeffs(*(Scalar.of(ring, v) for v in values))
+        return WeierstrassCoeffs.from_series(ring, 1, [[v] for v in values])
 
     @staticmethod
     def from_series(ring: Ring, order: int, coeff_lists) -> "WeierstrassCoeffs":
@@ -67,17 +61,12 @@ class WeierstrassCoeffs:
             *(QSeries.make(ring, order, c) for c in coeff_lists))
 
     def specialize_q0(self) -> "WeierstrassCoeffs":
-        """The q = 0 fiber of a series curve, as scalar coefficients."""
-        if not self.is_series:
-            raise ValueError("already a scalar curve")
-        return WeierstrassCoeffs(*(v.constant() for v in self.as_tuple()))
+        """The q = 0 fiber: the order-1 truncation, a curve over the ring itself."""
+        return self.truncate(1)
 
     def to_ring(self, ring: Ring) -> "WeierstrassCoeffs":
-        """Reduce or lift scalar coefficients into another ring."""
-        if self.is_series:
-            return WeierstrassCoeffs(*(v.to_ring(ring) for v in self.as_tuple()))
-        return WeierstrassCoeffs(
-            *(Scalar.of(ring, v.val) for v in self.as_tuple()))
+        """Reduce or lift the coefficients into another ring."""
+        return WeierstrassCoeffs(*(v.to_ring(ring) for v in self.as_tuple()))
 
     def truncate(self, order: int) -> "WeierstrassCoeffs":
         return WeierstrassCoeffs(*(v.truncate(order) for v in self.as_tuple()))
@@ -87,15 +76,14 @@ class WeierstrassCoeffs:
 class Reparam:
     """A coordinate change (u, s, r, t); u must be invertible."""
 
-    u: object
-    s: object
-    r: object
-    t: object
+    u: QSeries
+    s: QSeries
+    r: QSeries
+    t: QSeries
 
     @staticmethod
     def from_ints(ring: Ring, values) -> "Reparam":
-        u, s, r, t = (Scalar.of(ring, v) for v in values)
-        return Reparam(u, s, r, t)
+        return Reparam.from_series(ring, 1, [[v] for v in values])
 
     @staticmethod
     def from_series(ring: Ring, order: int, coeff_lists) -> "Reparam":
@@ -103,15 +91,10 @@ class Reparam:
         return Reparam(u, s, r, t)
 
     @staticmethod
-    def identity_like(sample) -> "Reparam":
-        """The identity element shaped like ``sample`` (Scalar or QSeries)."""
-        if isinstance(sample, QSeries):
-            one = QSeries.one(sample.ring, sample.order)
-            zero = QSeries.zero(sample.ring, sample.order)
-        else:
-            one = Scalar.of(sample.ring, 1)
-            zero = Scalar.of(sample.ring, 0)
-        return Reparam(one, zero, zero, zero)
+    def identity_like(sample: QSeries) -> "Reparam":
+        """The identity element over ``sample``'s ring, at its order."""
+        zero = QSeries.zero(sample.ring, sample.order)
+        return Reparam(QSeries.one(sample.ring, sample.order), zero, zero, zero)
 
     def as_tuple(self):
         return (self.u, self.s, self.r, self.t)
@@ -168,8 +151,8 @@ class Fiber(enum.Enum):
 
 
 def classify_fiber(w: WeierstrassCoeffs) -> Fiber:
-    """Smooth / Node / Cusp over a field, from (Delta, c4)."""
-    if w.is_series:
+    """Smooth / Node / Cusp of an order-1 curve over a field, from (Delta, c4)."""
+    if w.a1.order != 1:
         raise ValueError("specialize the series before classifying")
     if not w.ring.is_field:
         raise ValueError("classification needs field scalars")
@@ -182,6 +165,7 @@ def classify_fiber(w: WeierstrassCoeffs) -> Fiber:
 def singular_points_mod_p(w: WeierstrassCoeffs):
     """All singular points of the affine curve over F_p, with the nodal test.
 
+    Reads the constant terms, so a series curve is scanned at q = 0.
     Returns a list of ((x0, y0), hessian_nonzero) pairs, scanning all of
     F_p^2; the hessian condition is a1^2 + 2*(6*x0 + 2*a2) != 0.
     """
@@ -189,7 +173,7 @@ def singular_points_mod_p(w: WeierstrassCoeffs):
     if ring.kind != "GF":
         raise ValueError("point scan needs a prime field")
     p = ring.p
-    a1, a2, a3, a4, a6 = (v.val for v in w.as_tuple())
+    a1, a2, a3, a4, a6 = (v.coeffs[0] for v in w.as_tuple())
     out = []
     for x0 in range(p):
         for y0 in range(p):
@@ -290,7 +274,7 @@ def tate_normalize(w: WeierstrassCoeffs):
     exactly mod q^K, lifted order by order from its q = 0 term; u(0) takes the
     sign of a1 at q = 0 when that term is integral, and the other sign if not.
     """
-    if not (w.is_series and w.ring is ZZ):
+    if w.ring is not ZZ:
         raise ValueError("normalization expects q-series coefficients over Z")
     a10 = w.a1.coeffs[0]
     if a10 % 2 == 0:
@@ -423,16 +407,8 @@ def lie_vector_field(xi: LieElement, point) -> list:
     ring = xi.ring
     if not ring.is_field:
         raise ValueError("Lie computations need a field")
-    eps = QSeries.gen(ring, 2)
-    one = QSeries.one(ring, 2)
-    g = Reparam(
-        one + eps * Scalar.of(ring, xi.du),
-        eps * Scalar.of(ring, xi.ds),
-        eps * Scalar.of(ring, xi.dr),
-        eps * Scalar.of(ring, xi.dt),
-    )
-    w = WeierstrassCoeffs(
-        *(QSeries.const(ring, 2, ring.coerce(v)) for v in point))
+    g = Reparam.from_series(ring, 2, [[1, xi.du], [0, xi.ds], [0, xi.dr], [0, xi.dt]])
+    w = WeierstrassCoeffs.from_series(ring, 2, [[v] for v in point])
     moved = reparam_apply(g, w)
     return [v.coeffs[1] for v in moved.as_tuple()]
 

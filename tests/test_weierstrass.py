@@ -5,8 +5,9 @@ import pytest
 
 from tatemirror import _linalg
 from tatemirror import weierstrass as ws
-from tatemirror.errors import InvariantError, NonUnitError, NormalizationFailure
-from tatemirror.exactnum import GF, QQ, ZZ, QSeries, Scalar
+from tatemirror.errors import (InvariantError, NonUnitError, NormalizationFailure,
+                               RingMismatchError)
+from tatemirror.exactnum import GF, QQ, ZZ, QSeries
 
 
 def zcurve(values):
@@ -19,6 +20,22 @@ def qcurve(values):
 
 def series_curve(lists, order):
     return ws.WeierstrassCoeffs.from_series(ZZ, order, lists)
+
+
+class TestCoeffsValidation:
+    def test_mixed_rings_and_orders_rejected(self):
+        z, q = QSeries.one(ZZ, 2), QSeries.one(QQ, 2)
+        with pytest.raises(RingMismatchError):
+            ws.WeierstrassCoeffs(z, z, q, z, z)
+        short, long = QSeries.one(ZZ, 1), QSeries.one(ZZ, 3)
+        with pytest.raises(RingMismatchError):
+            ws.WeierstrassCoeffs(short, short, short, short, long)
+
+    def test_curve_over_the_base_ring_is_the_order_one_truncation(self):
+        nodal = ws.WeierstrassCoeffs.from_ints(ZZ, [1, 0, 0, 0, 0])
+        assert nodal == ws.tate_curve(1) == ws.tate_curve(6).specialize_q0()
+        identity = ws.Reparam.identity_like(ws.tate_curve(1).a1)
+        assert ws.Reparam.from_ints(ZZ, [1, 0, 0, 0]) == identity
 
 
 class TestReparamApply:
@@ -81,15 +98,15 @@ class TestReparamCompose:
 class TestDiscriminant:
     def test_nodal_cubic(self):
         delta, c4 = ws.discriminant(zcurve([1, 0, 0, 0, 0]))
-        assert delta.val == 0 and c4.val == 1
+        assert delta.coeffs[0] == 0 and c4.coeffs[0] == 1
 
     def test_cuspidal_cubic(self):
         delta, c4 = ws.discriminant(zcurve([0, 0, 0, 0, 0]))
-        assert delta.val == 0 and c4.val == 0
+        assert delta.coeffs[0] == 0 and c4.coeffs[0] == 0
 
     def test_smooth_example(self):
         delta, c4 = ws.discriminant(zcurve([0, 0, 0, -1, 0]))
-        assert delta.val == 64 and c4.val == 48
+        assert delta.coeffs[0] == 64 and c4.coeffs[0] == 48
 
     def test_covariance(self):
         rng = random.Random(3)
@@ -98,9 +115,9 @@ class TestDiscriminant:
             w = random_curve(rng)
             d0, c0 = ws.discriminant(w)
             d1, c1 = ws.discriminant(ws.reparam_apply(g, w))
-            u = g.u.val
-            assert d1.val * u ** 12 == d0.val
-            assert c1.val * u ** 4 == c0.val
+            u = g.u.coeffs[0]
+            assert d1.coeffs[0] * u ** 12 == d0.coeffs[0]
+            assert c1.coeffs[0] * u ** 4 == c0.coeffs[0]
 
 
 class TestClassifyFiber:
@@ -172,7 +189,8 @@ class TestTateNormalize:
         for _ in range(20):
             g = random_reparam(rng)
             moved = ws.reparam_apply(
-                ws.Reparam.from_series(ZZ, 5, [[g.u.val], [g.s.val], [g.r.val], [g.t.val]]),
+                ws.Reparam.from_series(
+                    ZZ, 5, [[g.u.coeffs[0]], [g.s.coeffs[0]], [g.r.coeffs[0]], [g.t.coeffs[0]]]),
                 ws.tate_curve(5))
             _, once = ws.tate_normalize(moved)
             g2, twice = ws.tate_normalize(once)
