@@ -8,6 +8,7 @@ reduced residues.  No floats appear anywhere in the package.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -177,13 +178,19 @@ class QSeries:
             raise RingMismatchError(
                 f"truncation orders differ: {self.order} vs {other.order}")
 
+    def _termwise(self, coeffs) -> "QSeries":
+        """A series of this ring and order from termwise sums, differences or
+        negatives of representatives, reduced once over GF(p)."""
+        if self.ring.kind == "GF":
+            p = self.ring.p
+            return QSeries(self.ring, self.order, tuple(c % p for c in coeffs))
+        return QSeries(self.ring, self.order, tuple(coeffs))
+
     def __add__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
             other = QSeries.const(self.ring, self.order, other)
         self._check(other)
-        add = self.ring.add
-        return QSeries(self.ring, self.order,
-                       tuple(add(a, b) for a, b in zip(self.coeffs, other.coeffs)))
+        return self._termwise(map(operator.add, self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
@@ -191,16 +198,13 @@ class QSeries:
         if isinstance(other, int) and not isinstance(other, bool):
             other = QSeries.const(self.ring, self.order, other)
         self._check(other)
-        sub = self.ring.sub
-        return QSeries(self.ring, self.order,
-                       tuple(sub(a, b) for a, b in zip(self.coeffs, other.coeffs)))
+        return self._termwise(map(operator.sub, self.coeffs, other.coeffs))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        neg = self.ring.neg
-        return QSeries(self.ring, self.order, tuple(neg(a) for a in self.coeffs))
+        return self._termwise(map(operator.neg, self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
@@ -261,8 +265,7 @@ class QSeries:
         return QSeries(self.ring, self.order, tuple(mul(c, dinv) for c in self.coeffs))
 
     def is_zero(self) -> bool:
-        z = self.ring.zero()
-        return all(c == z for c in self.coeffs)
+        return not any(self.coeffs)
 
     @property
     def is_unit(self) -> bool:

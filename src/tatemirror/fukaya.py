@@ -10,7 +10,9 @@ for the parity check only.  Elements share the section ring's slot-row type
 (``FloerElement`` is ``theta.ThetaElement``); only the basis product differs.
 The q-exponents come from lattice counting only; the section-ring
 multiplication rule is consulted only by the q = 0 cross-check in
-``dehn_table_q0``.
+``dehn_table_q0``.  ``enumerate_triangles`` keeps each point pair's shifts
+and counts in a table at the largest order asked for, and a lower order
+filters it, so a repeated product counts no lattice points.
 """
 
 from __future__ import annotations
@@ -61,6 +63,12 @@ def star_count(tri: ImmersedTriangle) -> int:
             + abs(math.ceil(p2j) - math.ceil(mean)))
 
 
+# (n1, p1 numerator, p1 denominator, n2, p2 numerator, p2 denominator) ->
+# (K, j0, e0, j1, e1, ...): the kept shifts and their lattice counts at the
+# largest order K enumerated so far, as flat ints
+_FLOER_TABLE: dict = {}
+
+
 def enumerate_triangles(n1: int, p1, n2: int, p2, order: int):
     """All immersed triangles contributing below the truncation order.
 
@@ -68,17 +76,30 @@ def enumerate_triangles(n1: int, p1, n2: int, p2, order: int):
     perturbed-lattice-point count as q-exponent.  Triangles whose exponent
     reaches the order are dropped.  No star is counted here: the stars come
     only from ``star_count`` on the triangle's Fraction vertices.
+
+    The shifts and counts are read from ``_FLOER_TABLE``, keyed by the
+    integers of (n1, p1, n2, p2), which holds them at the largest order K
+    asked for so far; a call above K rebuilds the entry with ``j_range`` and
+    ``lattice.count_perturbed``.  A call at order k <= K keeps the stored
+    shifts with count < k, which is exact: ``j_window`` grows with the order,
+    so the shifts of ``j_range`` at k lie among those at K, and every shift
+    outside ``j_window(k)`` has count >= k (the count is the area excess that
+    ``j_window`` bounds).  The triangles are built fresh on every call.
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("degrees must be positive")
     p1, p2 = Fraction(p1), Fraction(p2)
-    out = []
-    for j in j_range(n1, p1, n2, p2, order):
-        p2j = p2 + j
-        exponent = lattice.count_perturbed(n1, p1, n2, p2j)
-        if exponent < order:
-            out.append(ImmersedTriangle(n1, p1, n2, p2j, j, exponent))
-    return out
+    key = (n1, p1.numerator, p1.denominator, n2, p2.numerator, p2.denominator)
+    row = _FLOER_TABLE.get(key)
+    if row is None or row[0] < order:
+        flat = [order]
+        for j in j_range(n1, p1, n2, p2, order):
+            exponent = lattice.count_perturbed(n1, p1, n2, p2 + j)
+            if exponent < order:
+                flat += (j, exponent)
+        row = _FLOER_TABLE[key] = tuple(flat)
+    return [ImmersedTriangle(n1, p1, n2, p2 + j, j, e)
+            for j, e in zip(row[1::2], row[2::2]) if e < order]
 
 
 def _floer_terms(n1: int, m1: int, n2: int, m2: int, order: int):

@@ -8,6 +8,9 @@ in an integer target slot; ``CyclicPoint`` only names slots for callers.
 ``lambda_exp`` and ``j_range`` work on denominator-cleared integers only; the
 Fraction formulas (``phi``, ``psi``, ``weighted_mean``, ``area``,
 ``lambda_exp_reference``) are their oracles and share no code with them.
+The structure constants of a slot pair are kept in a table at the largest
+order asked for, and a lower order filters them, so ``theta_mul`` evaluates
+``lambda_exp`` once per slot pair and order increase.
 """
 
 from __future__ import annotations
@@ -240,18 +243,36 @@ class ThetaElement:
         return ThetaElement(n1 + n2, order, out)
 
 
+# (n1, m1, n2, m2) -> (K, t0, e0, t1, e1, ...): the terms of that slot pair at
+# the largest order K built so far, as flat (target slot, exponent) ints
+_SECTION_TABLE: dict = {}
+
+
 def _section_terms(n1: int, m1: int, n2: int, m2: int, order: int):
     """Section-ring basis product: q^lambda at the weighted mean, per shift j.
 
     The mean of m1/n1 and m2/n2 + j is (m1 + m2 + n2*j)/(n1 + n2), so its
-    slot numerator is read off in integers."""
-    p1, p2 = Fraction(m1, n1), Fraction(m2, n2)
-    for j in j_range(n1, p1, n2, p2, order):
-        lam = lambda_exp(n1, p1, n2, p2 + j)
-        if lam.denominator != 1 or lam < 0:
-            raise InvariantError(f"exponent {lam} at ({n1},{p1};{n2},{p2 + j})")
-        if lam < order:
-            yield (m1 + m2 + n2 * j) % (n1 + n2), int(lam)
+    slot numerator is read off in integers.  The terms are read from
+    ``_SECTION_TABLE``, keyed by the slot pair, which holds them at the
+    largest order K asked for so far; a call above K rebuilds the entry with
+    ``j_range`` and ``lambda_exp``.  A call at order k <= K keeps the stored
+    terms with exponent < k, which is exact: ``j_window`` grows with the
+    order, so the shifts of ``j_range`` at k lie among those at K, and every
+    shift outside ``j_window(k)`` has exponent >= k.
+    """
+    key = (n1, m1, n2, m2)
+    row = _SECTION_TABLE.get(key)
+    if row is None or row[0] < order:
+        p1, p2 = Fraction(m1, n1), Fraction(m2, n2)
+        flat = [order]
+        for j in j_range(n1, p1, n2, p2, order):
+            lam = lambda_exp(n1, p1, n2, p2 + j)
+            if lam.denominator != 1 or lam < 0:
+                raise InvariantError(f"exponent {lam} at ({n1},{p1};{n2},{p2 + j})")
+            if lam < order:
+                flat += ((m1 + m2 + n2 * j) % (n1 + n2), int(lam))
+        row = _SECTION_TABLE[key] = tuple(flat)
+    return [(t, e) for t, e in zip(row[1::2], row[2::2]) if e < order]
 
 
 def theta_mul(x: ThetaElement, y: ThetaElement) -> ThetaElement:

@@ -160,6 +160,16 @@ def test_product_commutes_with_reduction(s, t, p):
     assert (s * t).to_ring(fp) == s.to_ring(fp) * t.to_ring(fp)
 
 
+@settings(max_examples=150, deadline=None)
+@given(z_series(), z_series(), st.sampled_from([2, 3, 5, 7, 11]))
+def test_sum_commutes_with_reduction(s, t, p):
+    fp = GF(p)
+    sp, tp = s.to_ring(fp), t.to_ring(fp)
+    for got, want in ((sp + tp, s + t), (sp - tp, s - t), (-sp, -s)):
+        assert got == want.to_ring(fp)
+        assert all(0 <= c < p for c in got.coeffs)
+
+
 class TestDivisorPowerSum:
     def test_small_values(self):
         assert divisor_power_sum(3, 1) == 1

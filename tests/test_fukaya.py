@@ -126,10 +126,11 @@ class TestFloerIndependence:
             triples.append(fukaya.floer_mul(fukaya.floer_mul(a, b), c))
         return pairs, triples
 
-    def test_floer_side_never_uses_the_section_exponent(self, monkeypatch):
+    def test_floer_side_never_uses_the_section_exponent(self, monkeypatch, cold_tables):
         # Floer exponents come only from lattice counts, even though both
         # rings share one element type and one bilinear loop
         expected = self._products(6)
+        cold_tables()
 
         def forbidden(*args):
             raise AssertionError("section-ring exponent used on the Floer side")
@@ -143,13 +144,14 @@ class TestFloerIndependence:
 
 
 class TestSlotRows:
-    def test_products_never_build_or_hash_a_cyclic_point(self, monkeypatch):
+    def test_products_never_build_or_hash_a_cyclic_point(self, monkeypatch, cold_tables):
         # elements are rows by slot numerator: CyclicPoint only names slots
         # for the coeffs view, so no product path may construct or hash one
         pairs, triples = TestFloerIndependence.PAIRS, TestFloerIndependence.TRIPLES
         order = 4
         bases = [[theta.ThetaElement.basis(n, p, order) for n, p in t] for t in triples]
         expected = [fukaya.floer_product(*pair, order) for pair in pairs]
+        cold_tables()
 
         def forbidden(*args):
             raise AssertionError("CyclicPoint built or hashed on a product path")

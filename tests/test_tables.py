@@ -1,0 +1,132 @@
+"""The structure-constant tables behind both basis products.
+
+Each ring keeps one table entry per slot pair, built at the largest order
+asked for so far; a lower order filters it and a higher one rebuilds it.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from tatemirror import fukaya, lattice, theta
+
+MAX_ORDER = 12
+SLOT_PAIRS = [(n1, m1, n2, m2)
+              for n1 in range(1, 8) for n2 in range(1, 9 - n1)
+              for m1 in range(n1) for m2 in range(n2)]
+RINGS = {"section": theta._section_terms, "floer": fukaya._floer_terms}
+
+
+def _cold(terms, clear):
+    """Every slot pair's terms at every order, each from an empty table."""
+    out = {}
+    for pair in SLOT_PAIRS:
+        for order in range(1, MAX_ORDER + 1):
+            clear()
+            out[pair, order] = list(terms(*pair, order))
+    return out
+
+
+def _forbid(monkeypatch, *names):
+    def forbidden(*args):
+        raise AssertionError("exponent kernel called")
+
+    for module, name in names:
+        monkeypatch.setattr(module, name, forbidden)
+
+
+SECTION_KERNELS = ((theta, "lambda_exp"), (theta, "j_range"))
+FLOER_KERNELS = ((lattice, "count_perturbed"), (fukaya, "j_range"))
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_any_visiting_order_gives_the_cold_products(ring, cold_tables):
+    terms = RINGS[ring]
+    cold = _cold(terms, cold_tables)
+    orders = list(range(1, MAX_ORDER + 1))
+    shuffled = orders[:]
+    random.Random(15).shuffle(shuffled)
+    for visit in (orders, orders[::-1], shuffled):
+        cold_tables()
+        for order in visit:
+            for pair in SLOT_PAIRS:
+                assert list(terms(*pair, order)) == cold[pair, order], (ring, pair, order)
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_a_lower_order_after_a_higher_one_calls_no_kernel(ring, monkeypatch, cold_tables):
+    terms = RINGS[ring]
+    pairs = [(1, 0, 1, 0), (2, 1, 3, 2), (5, 3, 2, 0), (4, 1, 4, 3)]
+    cold = {}
+    for pair in pairs:
+        for order in (1, 4, 9):
+            cold_tables()
+            cold[pair, order] = list(terms(*pair, order))
+    cold_tables()
+    for pair in pairs:
+        terms(*pair, 9)
+    _forbid(monkeypatch, *SECTION_KERNELS, *FLOER_KERNELS)
+    for pair in pairs:
+        for order in (9, 1, 4):
+            assert list(terms(*pair, order)) == cold[pair, order]
+    with pytest.raises(AssertionError, match="kernel"):
+        terms(1, 0, 1, 0, 10)
+
+
+def test_a_higher_order_rebuilds(monkeypatch, cold_tables):
+    cold = (list(theta._section_terms(2, 1, 3, 2, 8)), list(fukaya._floer_terms(2, 1, 3, 2, 8)))
+    cold_tables()
+    theta._section_terms(2, 1, 3, 2, 3)
+    fukaya._floer_terms(2, 1, 3, 2, 3)
+    low = (theta._SECTION_TABLE[2, 1, 3, 2], fukaya._FLOER_TABLE[2, 1, 2, 3, 2, 3])
+    calls = []
+
+    def counted(name, kernel):
+        def call(*args):
+            calls.append(name)
+            return kernel(*args)
+        return call
+
+    monkeypatch.setattr(theta, "lambda_exp", counted("lambda_exp", theta.lambda_exp))
+    monkeypatch.setattr(lattice, "count_perturbed",
+                        counted("count_perturbed", lattice.count_perturbed))
+    assert (list(theta._section_terms(2, 1, 3, 2, 8)),
+            list(fukaya._floer_terms(2, 1, 3, 2, 8))) == cold
+    assert {"lambda_exp", "count_perturbed"} == set(calls)
+    high = (theta._SECTION_TABLE[2, 1, 3, 2], fukaya._FLOER_TABLE[2, 1, 2, 3, 2, 3])
+    for before, after in zip(low, high):
+        assert (before[0], after[0]) == (3, 8)
+        assert len(before) < len(after)
+        assert all(type(v) is int for v in after)
+
+
+def test_each_table_is_built_from_its_own_kernel_only(monkeypatch, cold_tables):
+    # the section table never reaches a lattice count, and the Floer table
+    # never reaches the section-ring exponent
+    section = {pair: list(theta._section_terms(*pair, MAX_ORDER)) for pair in SLOT_PAIRS}
+    floer = {pair: list(fukaya._floer_terms(*pair, MAX_ORDER)) for pair in SLOT_PAIRS}
+    assert section == floer
+    cold_tables()
+    with monkeypatch.context() as patch:
+        _forbid(patch, (lattice, "count_perturbed"), (lattice, "row_formula_count"))
+        assert {pair: list(theta._section_terms(*pair, MAX_ORDER))
+                for pair in SLOT_PAIRS} == section
+    cold_tables()
+    with monkeypatch.context() as patch:
+        _forbid(patch, (theta, "lambda_exp"), (theta, "phi"), (theta, "psi"))
+        assert {pair: list(fukaya._floer_terms(*pair, MAX_ORDER))
+                for pair in SLOT_PAIRS} == floer
+        with pytest.raises(AssertionError, match="kernel"):
+            theta._section_terms(1, 0, 1, 0, 1)
+
+
+def test_off_grid_points_have_their_own_entries(cold_tables):
+    # enumerate_triangles takes any rational points; two points with one
+    # slot but different values are different keys
+    a = fukaya.enumerate_triangles(2, Fraction(1, 2), 3, Fraction(1, 3), 6)
+    b = fukaya.enumerate_triangles(2, Fraction(5, 2), 3, Fraction(1, 3), 6)
+    assert [t.j for t in a] != [t.j for t in b]
+    assert [t.q_exponent for t in a] == [t.q_exponent for t in b]
+    assert all(t.p1 == Fraction(5, 2) for t in b)
+    assert len(fukaya._FLOER_TABLE) == 2

@@ -59,6 +59,12 @@ FAULTS = [
     ("bool check dropped from Ring.coerce", "exactnum.py",
      "if isinstance(x, bool):\n            raise TypeError(\"bool is not a ring element\")\n"
      "        if self.kind == \"ZZ\":", "if self.kind == \"ZZ\":"),
+    ("stale section table read above its order", "theta.py",
+     "if row is None or row[0] < order:", "if row is None:"),
+    ("stale Floer table read above its order", "fukaya.py",
+     "if row is None or row[0] < order:", "if row is None:"),
+    ("% p dropped from the GF series add", "exactnum.py",
+     "tuple(c % p for c in coeffs)", "tuple(coeffs)"),
 ]
 
 
