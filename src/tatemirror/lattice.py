@@ -7,10 +7,11 @@ case ever depends on a numeric epsilon.  These counts are the independent
 oracle for the q-exponents of the section ring and the Floer products.
 
 ``count_perturbed`` is the production kernel: it clears denominators once and
-works on integer vertices only.  ``row_formula_count`` is an independent
-oracle, a closed formula on the same cleared integers that shares no code with
-it.  ``PerturbedTriangle``, ``EpsRational`` and ``count_perturbed_reference``
-are the Fraction oracles, and share no vertex code with either.
+sums the columns in closed form on integer vertices only.
+``row_formula_count`` is an independent oracle, a closed formula over the rows
+on the same cleared integers that shares no code with it.
+``PerturbedTriangle``, ``EpsRational`` and ``count_perturbed_reference`` are
+the Fraction oracles, and share no vertex code with either.
 """
 
 from __future__ import annotations
@@ -116,17 +117,26 @@ class PerturbedTriangle:
         return True
 
 
+def _column_sum(slope: int, offset: int, first: int, stop: int) -> int:
+    """Sum of slope*a + offset over the columns first <= a < stop."""
+    return slope * (first + stop - 1) * (stop - first) // 2 + offset * (stop - first)
+
+
 def count_perturbed(n1: int, p1, n2: int, p2) -> int:
     """Number of perturbed lattice points strictly inside the triangle.
 
-    Exact integer arithmetic: with p1 = a1/d1, p2 = a2/d2 and
-    den = lcm(d1, d2)*(n1 + n2), the vertices scaled by den are integers
-    (u1, 0), (u2, -n1*(u2 - u1)), ((n1*u1 + n2*u2)/(n1 + n2), 0).  Any common
-    multiple of the denominators gives the same count: each half-plane slope
-    and offset scales by den^2 and its eps coefficient by den, so neither the
-    integer bounds nor the tie-breaking signs move.  Each column of
-    candidate points is resolved by solving the three half-plane constraints
-    for an exact integer interval.  Degenerate triangles count zero.
+    The edges lie on y = 0, on y = -n1*(x - p1) and on y = -n3*(x - mean)
+    with n3 = n1 + n2, all of integer slope.  The column through a + eps
+    meets the triangle when a + eps lies strictly between p1 and p2; a point
+    (a + eps, b + eps) on a sloped line y = -n*(x - c) moves to the side
+    y > -n*(x - c) by (1 + n)*eps, so that edge's tie is decided without
+    any eps arithmetic: b >= ceil(n*c) - n*a is above it, b <= ceil(n*c) -
+    1 - n*a below it.  Each column therefore holds an integer interval
+    whose length is linear in a on either side of the mean, and the count
+    is two arithmetic sums, one column range each.  With p1 = a1/d1,
+    p2 = a2/d2 and den = lcm(d1, d2)*(n1 + n2), the points scaled by den
+    are integers u1, u2 and w = (n1*u1 + n2*u2)/n3, so every ceiling is one
+    integer division.  Degenerate triangles count zero.
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("degrees must be positive")
@@ -134,51 +144,23 @@ def count_perturbed(n1: int, p1, n2: int, p2) -> int:
     n3 = n1 + n2
     den = math.lcm(d1, d2) * n3
     u1, u2 = a1 * (den // d1), a2 * (den // d2)
-    pts = ((u1, 0), (u2, -n1 * (u2 - u1)), ((n1 * u1 + n2 * u2) // n3, 0))
-    (x0, y0), (x1, y1), (x2, y2) = pts
-    area2 = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
-    if area2 == 0:
+    if u1 == u2:
         return 0
-    orient = 1 if area2 > 0 else -1
-
-    # edge value at the scaled point (X, Y) = (den*a + den*eps, den*b + den*eps)
-    # is slope*b + offset(a) + eps_coef*(den*eps) with slope = den*(xb - xa)
-    edges = []
-    for (xa, ya), (xb, yb) in ((pts[0], pts[1]), (pts[1], pts[2]), (pts[2], pts[0])):
-        dx, dy = xb - xa, yb - ya
-        edges.append((dx * orient, dy * orient,
-                      (dx * ya - dy * xa) * orient, (dx - dy) * orient))
-
-    xs = (x0, x1, x2)
-    count = 0
-    for a in range(min(xs) // den, -(-max(xs) // den) + 1):
-        px = a * den
-        lo = None
-        hi = None
-        empty = False
-        for dxo, dyo, co, ec in edges:
-            slope = dxo * den
-            offset = -dyo * px - co
-            if slope == 0:
-                if not (offset > 0 or (offset == 0 and ec > 0)):
-                    empty = True
-                    break
-                continue
-            if slope > 0:
-                # smallest b with slope*b + offset > 0 (ties broken by eps)
-                q, r = divmod(-offset, slope)
-                bound = q if (r == 0 and ec > 0) else q + 1
-                lo = bound if lo is None else max(lo, bound)
-            else:
-                # largest b with slope*b + offset > 0 (ties broken by eps)
-                q, r = divmod(offset, -slope)
-                bound = q if (r != 0 or ec > 0) else q - 1
-                hi = bound if hi is None else min(hi, bound)
-        if empty or lo is None or hi is None:
-            continue
-        if hi >= lo:
-            count += hi - lo + 1
-    return count
+    v = n1 * u1 + n2 * u2  # den * n3 * mean
+    c1 = -(-n1 * u1 // den)  # ceil(n1 * p1)
+    c3 = -(-v // den)  # ceil(n3 * mean)
+    mid = -(-(v // n3) // den)  # ceil(mean): the first column with a + eps > mean
+    if u1 < u2:
+        # apex below: above the p1 edge; under y = 0 left of the mean, under
+        # the mean edge right of it
+        first, stop = -(-u1 // den), -(-u2 // den)
+        return (_column_sum(n1, -c1, first, mid)
+                + _column_sum(-n2, c3 - c1, mid, stop))
+    # apex above: under the p1 edge; over the mean edge left of the mean,
+    # over y = 0 right of it
+    first, stop = -(-u2 // den), -(-u1 // den)
+    return (_column_sum(n2, c1 - c3, first, mid)
+            + _column_sum(-n1, c1, mid, stop))
 
 
 def count_perturbed_reference(n1: int, p1, n2: int, p2) -> int:

@@ -25,9 +25,8 @@ TIMEOUT_S = 900
 
 # (name, file under src/tatemirror, exact old text, new text)
 FAULTS = [
-    ("eps tie-break flipped in count_perturbed", "lattice.py",
-     "bound = q if (r == 0 and ec > 0) else q + 1",
-     "bound = q if (r == 0 and ec < 0) else q + 1"),
+    ("eps tie-break flipped on the p1 edge in count_perturbed", "lattice.py",
+     "c1 = -(-n1 * u1 // den)", "c1 = n1 * u1 // den + 1"),
     ("one term of _row_count", "lattice.py",
      "D * n * q2 * q2 + 2 * R * q", "D * n * q2 * q2 - 2 * R * q"),
     ("sigma5 -> sigma3 in tate_coeffs", "weierstrass.py",
