@@ -1,7 +1,9 @@
 """Dense exact linear algebra over a field Ring (QQ or GF(p)).
 
 Matrices are lists of row lists of raw field values.  QQ and GF(p) share one
-integer elimination; only its finished pivot rows become field values again.
+integer elimination, ``echelon``, which never scales a pivot: its QQ rows are
+primitive lists of ``int``.  ``rank`` and ``kernel`` stay integral; only
+``rref``, ``nullspace`` and ``solve_right`` divide, returning QQ ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -12,21 +14,33 @@ from math import gcd, lcm
 from .exactnum import Ring
 
 
-def rref(rows, ring: Ring):
-    """Reduced row echelon form.  Returns (nonzero_rows, pivot_columns).
+def _primitive(row):
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _over(row, a, ring: Ring):
+    """row / a: times the inverse of a (GF(p)), or Fractions sharing one zero (QQ)."""
+    p, zero = ring.characteristic, ring.zero()
+    if p:
+        a = pow(a, -1, p)
+        return [x * a % p for x in row]
+    return [Fraction(x, a) if x else zero for x in row]
+
+
+def echelon(rows, ring: Ring):
+    """Reduced echelon form with unscaled pivots.  Returns (nonzero_rows, pivot_columns).
 
     Each step sets a row to a*row - b*pivot over the integers, then divides it
-    by its gcd (QQ, after clearing denominators) or reduces it mod p (GF(p)).
+    by its gcd (QQ, denominators cleared unless all ``int``) or reduces it mod p.
     """
-    p = ring.p if ring.kind == "GF" else 0
-
-    def primitive(row):
-        g = gcd(*row)
-        return [x // g for x in row] if g > 1 else row
+    p = ring.characteristic
 
     def integral(row):
+        if all(type(x) is int for x in row):
+            return _primitive(row)
         d = lcm(*[x.denominator for x in row])
-        return primitive([x.numerator * (d // x.denominator) for x in row])
+        return _primitive([x.numerator * (d // x.denominator) for x in row])
 
     m = [[x % p for x in row] if p else integral(row) for row in rows]
     pivots = []
@@ -42,33 +56,42 @@ def rref(rows, ring: Ring):
                 g = gcd(prow[c], row[c])
                 a, b = prow[c] // g, row[c] // g
                 m[i] = ([(a * x - b * y) % p for x, y in zip(row, prow)] if p
-                        else primitive([a * x - b * y for x, y in zip(row, prow)]))
+                        else _primitive([a * x - b * y for x, y in zip(row, prow)]))
         pivots.append(c)
-    for r, c in enumerate(pivots):  # GF(p): times the inverse; QQ: over the pivot
-        a = pow(m[r][c], -1, p) if p else m[r][c]
-        m[r] = [x * a % p for x in m[r]] if p else [Fraction(x, a) for x in m[r]]
     return m[: len(pivots)], pivots
 
 
+def rref(rows, ring: Ring):
+    """Reduced row echelon form: ``echelon`` with every pivot scaled to 1."""
+    m, pivots = echelon(rows, ring)
+    return [_over(row, row[c], ring) for row, c in zip(m, pivots)], pivots
+
+
 def rank(rows, ring: Ring) -> int:
-    return len(rref(rows, ring)[1])
+    return len(echelon(rows, ring)[1])
+
+
+def kernel(rows, ring: Ring):
+    """Basis of the right null space in integers (QQ, primitive) or residues.
+
+    Free column f gives L at f and -row[f] * L / row[c] at each echelon pivot
+    c < f, L the lcm of those row[c]: f is the vector's last nonzero entry.
+    """
+    red, pivots = echelon(rows, ring)
+    p, ncols = ring.characteristic, len(rows[0]) if rows else 0
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[f] = lcm(*[row[c] for row, c in zip(red, pivots) if row[f]])
+        for row, c in zip(red, pivots):
+            v[c] = -row[f] * (v[f] // row[c])
+        basis.append([x % p for x in v] if p else _primitive(v))
+    return basis
 
 
 def nullspace(rows, ring: Ring):
-    """Basis of the right null space {x : rows . x = 0}."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    red, pivots = rref(rows, ring)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [ring.zero()] * ncols
-        v[fc] = ring.one()
-        for i, pc in enumerate(pivots):
-            v[pc] = ring.neg(red[i][fc])
-        basis.append(v)
-    return basis
+    """Basis of {x : rows . x = 0}: each ``kernel`` vector over its free coordinate."""
+    return [_over(v, next(x for x in reversed(v) if x), ring) for v in kernel(rows, ring)]
 
 
 def solve_right(rows, rhs, ring: Ring):
@@ -107,11 +130,11 @@ def transpose(rows):
     return [list(col) for col in zip(*rows)] if rows else []
 
 
-def reduce_mod_span(span_rref, pivots, vec, ring: Ring):
-    """Residue of vec modulo the row span (given in rref form)."""
+def reduce_mod_span(span, pivots, vec, ring: Ring):
+    """Residue of vec modulo the row span (given in rref or echelon form)."""
     v = list(vec)
-    for row, pc in zip(span_rref, pivots):
-        f = v[pc]
-        if f != ring.zero():
+    for row, pc in zip(span, pivots):
+        if v[pc]:
+            f = ring.mul(v[pc], ring.invert(row[pc]))
             v = [ring.sub(x, ring.mul(f, y)) for x, y in zip(v, row)]
     return v

@@ -14,6 +14,8 @@ from fractions import Fraction
 
 from .errors import NonUnitError, RingMismatchError
 
+_QQ_ZERO, _QQ_ONE = Fraction(0), Fraction(1)  # QQ.zero(), QQ.one(): a Fraction is immutable
+
 
 def _is_prime(p: int) -> bool:
     if p < 2:
@@ -96,10 +98,10 @@ class Ring:
         return (a * b) % self.p if self.kind == "GF" else a * b
 
     def zero(self):
-        return Fraction(0) if self.kind == "QQ" else 0
+        return _QQ_ZERO if self.kind == "QQ" else 0
 
     def one(self):
-        return Fraction(1) if self.kind == "QQ" else 1
+        return _QQ_ONE if self.kind == "QQ" else 1
 
     def is_unit(self, a) -> bool:
         if self.kind == "ZZ":

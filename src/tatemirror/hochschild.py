@@ -8,6 +8,9 @@ monomial basis {x^a y^b : b <= 1}.  Degrees are weighted with x of weight 2
 and y of weight 3; for the cusp f is homogeneous of weight 6 and everything
 is graded.
 
+Over QQ a coefficient is an ``int`` wherever it is integral, so the spans and
+kernels below run on ``_linalg``'s integer elimination.
+
 Even cohomology of the curve ring is carried by the Tjurina algebra
 T = R/(f_x, f_y), odd cohomology by the middle homology of the two-step
 complex built from (f_x, f_y); both are computed here, together with the
@@ -49,12 +52,17 @@ class PlaneCurveRing:
     def is_cusp(self) -> bool:
         return self.c == 0
 
+    def _raw(self, coeff):
+        """Raw value of a coefficient; over QQ an int stays an int."""
+        keep = type(coeff) is int and self.field.kind == "QQ"
+        return coeff if keep else self.field.coerce(coeff)
+
     def poly(self, terms: dict) -> dict:
         """Coerce {(a, b): coefficient} into a clean raw-valued dict."""
         out = {}
         for mono, coeff in terms.items():
-            raw = self.field.coerce(coeff)
-            if raw != self.field.zero():
+            raw = self._raw(coeff)
+            if raw:
                 out[tuple(mono)] = raw
         return out
 
@@ -74,37 +82,37 @@ class PlaneCurveRing:
         out = {}
         while work:
             (a, b), coeff = work.popitem()
-            if coeff == field.zero():
+            if not coeff:
                 continue
             if b <= 1:
-                acc = field.add(out.get((a, b), field.zero()), coeff)
-                if acc == field.zero():
+                acc = field.add(out.get((a, b), 0), coeff)
+                if not acc:
                     out.pop((a, b), None)
                 else:
                     out[(a, b)] = acc
                 continue
             # y^2 = x^3 - c*x*y
             hi = (a + 3, b - 2)
-            work[hi] = field.add(work.get(hi, field.zero()), coeff)
+            work[hi] = field.add(work.get(hi, 0), coeff)
             if self.c:
                 lo = (a + 1, b - 1)
-                work[lo] = field.sub(work.get(lo, field.zero()), coeff)
+                work[lo] = field.sub(work.get(lo, 0), coeff)
         return out
 
     def add(self, p: dict, q: dict) -> dict:
         field = self.field
         out = dict(p)
         for mono, coeff in q.items():
-            acc = field.add(out.get(mono, field.zero()), coeff)
-            if acc == field.zero():
+            acc = field.add(out.get(mono, 0), coeff)
+            if not acc:
                 out.pop(mono, None)
             else:
                 out[mono] = acc
         return out
 
     def scale(self, p: dict, coeff) -> dict:
-        raw = self.field.coerce(coeff)
-        if raw == self.field.zero():
+        raw = self._raw(coeff)
+        if not raw:
             return {}
         return {m: self.field.mul(v, raw) for m, v in p.items()}
 
@@ -114,7 +122,7 @@ class PlaneCurveRing:
         for (a1, b1), c1 in p.items():
             for (a2, b2), c2 in q.items():
                 mono = (a1 + a2, b1 + b2)
-                out[mono] = field.add(out.get(mono, field.zero()), field.mul(c1, c2))
+                out[mono] = field.add(out.get(mono, 0), field.mul(c1, c2))
         return self.normal_form(out)
 
     def monomials(self, max_weight: int):
@@ -131,9 +139,9 @@ class PlaneCurveRing:
 
 # -- bounded-degree quotient machinery ---------------------------------------
 
-def _vector(index: dict, element, field):
+def _vector(index: dict, element):
     """Coordinates of an element of R^k; column (side, mono) holds one coefficient."""
-    vec = [field.zero()] * len(index)
+    vec = [0] * len(index)
     for side, comp in enumerate(element):
         for mono, coeff in comp.items():
             if (side, mono) not in index:
@@ -151,8 +159,7 @@ def _columns(ring: PlaneCurveRing, report_weight: int, k: int) -> list:
 def _multiple_rows(ring: PlaneCurveRing, gens, multipliers, columns):
     """One row per generator g in R^k and multiplier monomial m: the vector m*g."""
     index = {c: i for i, c in enumerate(columns)}
-    return [_vector(index, [ring.mul({mono: ring.field.one()}, comp) for comp in g],
-                    ring.field)
+    return [_vector(index, [ring.mul({mono: 1}, comp) for comp in g])
             for g in gens for mono in multipliers]
 
 
@@ -171,7 +178,7 @@ class _Span:
         self.columns = _columns(ring, report_weight, len(gens[0]))
         self.index = {c: i for i, c in enumerate(self.columns)}
         rows = _multiple_rows(ring, gens, ring.monomials(report_weight), self.columns)
-        self.rows, self.pivots = _linalg.rref(rows, ring.field)
+        self.rows, self.pivots = _linalg.echelon(rows, ring.field)
 
     def _low(self, col: int) -> bool:
         return weight(self.columns[col][1]) <= self.report_weight
@@ -188,10 +195,9 @@ class _Span:
 
     def reduce(self, p: dict) -> dict:
         """Residue of the polynomial p modulo a one-component span."""
-        field = self.ring.field
-        vec = _vector(self.index, [self.ring.normal_form(p)], field)
-        red = _linalg.reduce_mod_span(self.rows, self.pivots, vec, field)
-        return {self.columns[i][1]: v for i, v in enumerate(red) if v != field.zero()}
+        vec = _vector(self.index, [self.ring.normal_form(p)])
+        red = _linalg.reduce_mod_span(self.rows, self.pivots, vec, self.ring.field)
+        return {self.columns[i][1]: v for i, v in enumerate(red) if v}
 
 
 def _ideal_slice(ring: PlaneCurveRing, report_weight: int) -> _Span:
@@ -213,20 +219,19 @@ def tjurina_dim(ring: PlaneCurveRing, bound: int = 10):
 
 
 def _koszul_at(ring: PlaneCurveRing, report_weight: int):
-    field = ring.field
     fx, fy = ring.f_x(), ring.f_y()
     source = ring.monomials(report_weight)
     # kernel of (alpha1, alpha2) -> alpha1*f_x + alpha2*f_y on the window,
     # rows by ascending weight: a quarter of the row updates of descending order
     matrix = _linalg.transpose(_multiple_rows(
         ring, [(fx,), (fy,)], source, _columns(ring, report_weight, 1)))[::-1]
-    kernel = [tuple({source[i]: v for i, v in enumerate(half) if v != field.zero()}
+    kernel = [tuple({source[i]: v for i, v in enumerate(half) if v}
                     for half in (vec[: len(source)], vec[len(source):]))
-              for vec in _linalg.nullspace(matrix, field)]
+              for vec in _linalg.kernel(matrix, ring.field)]
     boundary = _Span(ring, [(fy, ring.scale(fx, -1))], report_weight)
     # generators: the kernel pairs independent of the boundary and earlier pairs
-    stack = boundary.rows + [_vector(boundary.index, pair, field) for pair in kernel]
-    _, pivots = _linalg.rref(_linalg.transpose(stack), field)
+    stack = boundary.rows + [_vector(boundary.index, pair) for pair in kernel]
+    _, pivots = _linalg.echelon(_linalg.transpose(stack), ring.field)
     n = len(boundary.rows)
     return len(kernel) - boundary.low_rank(), [kernel[c - n] for c in pivots if c >= n]
 
@@ -323,19 +328,19 @@ def _dga_matrix(ring: PlaneCurveRing, n: int, s: int):
     src = _dga_bucket(n, s)
     dst = _dga_bucket(n + 1, s)
     dst_index = {tm: i for i, tm in enumerate(dst)}
-    rows = [[field.zero()] * len(src) for _ in dst]
+    rows = [[0] * len(src) for _ in dst]
     fx, fy = ring.f_x(), ring.f_y()
     for j, (tag, mono) in enumerate(src):
         if tag == "beta":
             continue  # d(R*beta^k) = 0
         if tag == "xy":
             # d(b x*y*) = b f_x y* - b f_y x*
-            images = [("y*", ring.mul({mono: field.one()}, fx), 1),
-                      ("x*", ring.mul({mono: field.one()}, fy), -1)]
+            images = [("y*", ring.mul({mono: 1}, fx), 1),
+                      ("x*", ring.mul({mono: 1}, fy), -1)]
         elif tag == "x*":
-            images = [("beta", ring.mul({mono: field.one()}, fx), 1)]
+            images = [("beta", ring.mul({mono: 1}, fx), 1)]
         else:
-            images = [("beta", ring.mul({mono: field.one()}, fy), 1)]
+            images = [("beta", ring.mul({mono: 1}, fy), 1)]
         for dtag, poly, sgn in images:
             for m, v in poly.items():
                 key = (dtag, m)
@@ -343,7 +348,7 @@ def _dga_matrix(ring: PlaneCurveRing, n: int, s: int):
                     val = v if sgn == 1 else field.neg(v)
                     rows[dst_index[key]][j] = field.add(
                         rows[dst_index[key]][j], val)
-                elif v != field.zero():
+                elif v:
                     raise VerificationFailure(
                         f"differential leaves the graded bucket at {key}")
     return rows, len(src)
@@ -358,13 +363,12 @@ def cusp_graded_ranks(ring: PlaneCurveRing, n_max: int, s_min: int) -> GradedRan
         raise ValueError("graded ranks are only defined for the cusp")
     if n_max < 0 or s_min > 0:
         raise ValueError("empty window")
-    field = ring.field
     ranks = {}
     rank_in = {}  # s -> rank of the differential into row n, carried from row n - 1
     for n in range(n_max + 1):
         for s in range(s_min, 1):
             d_out, src_dim = _dga_matrix(ring, n, s)
-            rank_out = _linalg.rank(d_out, field)
+            rank_out = _linalg.rank(d_out, ring.field)
             h = src_dim - rank_out - rank_in.get(s, 0)
             rank_in[s] = rank_out
             if h < 0:

@@ -51,6 +51,11 @@ class TestScalar:
         with pytest.raises(ValueError):
             scalar(ZZ, Fraction(1, 2))
 
+    def test_qq_zero_and_one_are_shared_fractions(self):
+        assert QQ.zero() is QQ.zero() and QQ.one() is QQ.one()
+        assert type(QQ.zero()) is Fraction and type(QQ.one()) is Fraction
+        assert (QQ.zero(), QQ.one()) == (0, 1)
+
     def test_gf_requires_prime(self):
         with pytest.raises(ValueError):
             GF(6)

@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -41,6 +43,23 @@ class TestNormalForm:
         cusp, _ = rings(0)
         y = {(0, 1): QQ.coerce(1)}
         assert cusp.mul(y, y) == {(3, 0): QQ.coerce(1)}
+
+    @pytest.mark.parametrize("c", [0, 1])
+    def test_bool_coefficient_rejected(self, c):
+        with pytest.raises(TypeError):
+            hh.PlaneCurveRing(QQ, c).poly({(0, 0): True})
+
+    def test_fraction_coefficients_keep_their_values(self):
+        cusp, node = rings(0)
+        half = Fraction(1, 2)
+        assert cusp.normal_form({(0, 2): half}) == {(3, 0): half}
+        assert node.normal_form({(0, 2): half}) == {(3, 0): half, (1, 1): -half}
+        for ring, xy in ((cusp, 3), (node, Fraction(11, 4))):
+            p = ring.poly({(0, 1): half, (1, 0): 3, (2, 0): 0})
+            assert p == {(0, 1): half, (1, 0): 3}
+            assert type(p[(0, 1)]) is Fraction and type(p[(1, 0)]) is int
+            # (y/2 + 3x)^2 = y^2/4 + 3xy + 9x^2, with y^2 = x^3 - c*xy
+            assert ring.mul(p, p) == {(3, 0): Fraction(1, 4), (1, 1): xy, (2, 0): 9}
 
     def test_defining_polynomial_reduces_to_zero(self):
         for char in CHARS:
@@ -97,6 +116,15 @@ class TestKoszulMiddle:
                 for a1, a2 in hh.koszul_h1_dim(ring)[1]:
                     combo = ring.add(ring.mul(a1, fx), ring.mul(a2, fy))
                     assert combo == {}
+
+    def test_pairs_over_qq_are_primitive_integer_syzygies(self):
+        for ring in rings(0):
+            fx, fy = ring.f_x(), ring.f_y()
+            for a1, a2 in hh.koszul_h1_dim(ring)[1]:
+                coeffs = list(a1.values()) + list(a2.values())
+                assert coeffs and all(type(v) is int for v in coeffs)
+                assert math.gcd(*coeffs) == 1
+                assert ring.add(ring.mul(a1, fx), ring.mul(a2, fy)) == {}
 
 
 class TestSingleKoszulPass:

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tatemirror._linalg import det, nullspace, rank, reduce_mod_span, rref, solve_right
+from tatemirror._linalg import (det, echelon, kernel, nullspace, rank, reduce_mod_span,
+                                rref, solve_right)
 from tatemirror.exactnum import GF, QQ
 
 FIELDS = (QQ, GF(2), GF(3), GF(7))
@@ -77,6 +79,62 @@ class TestRref:
         assert rref([[2, 4], [1, 2], [0, 0]], QQ) == ([[1, 2]], [0])
         red, pivots = rref([[Fraction(1, 2), 1, 0], [0, 0, 0], [Fraction(3, 2), 3, 0]], QQ)
         assert (red, pivots) == ([[1, 2, 0]], [0])
+
+
+class TestEchelon:
+    @settings(max_examples=200, deadline=None)
+    @given(matrices())
+    def test_rref_is_echelon_over_its_pivots(self, case):
+        ring, _, rows = case
+        ech, pivots = echelon(rows, ring)
+        red, rref_pivots = rref(rows, ring)
+        assert pivots == rref_pivots
+        for e, r, pc in zip(ech, red, pivots):
+            assert e[pc] != 0
+            assert r == [ring.mul(ring.coerce(x), ring.invert(ring.coerce(e[pc]))) for x in e]
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrices())
+    def test_rows_over_qq_are_primitive_ints(self, case):
+        ring, _, rows = case
+        ech, _ = echelon(rows, ring)
+        for row in ech:
+            assert all(type(x) is int for x in row)
+            if ring is QQ:
+                assert gcd(*row) == 1
+            else:
+                assert all(0 <= x < ring.p for x in row)
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrices())
+    def test_kernel_over_its_free_coordinate_is_the_nullspace(self, case):
+        ring, ncols, rows = case
+        vecs, want = kernel(rows, ring), nullspace(rows, ring)
+        pivots = rref(rows, ring)[1] if rows else range(ncols)
+        free = [c for c in range(ncols) if c not in pivots]
+        assert len(vecs) == len(want) == len(free)
+        for vec, fc, normalized in zip(vecs, free, want):
+            assert all(type(x) is int for x in vec)
+            assert all(dot(ring, row, vec) == ring.zero() for row in rows)
+            scale = ring.invert(ring.coerce(vec[fc]))
+            assert [ring.mul(ring.coerce(x), scale) for x in vec] == normalized
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrices())
+    def test_int_and_fraction_rows_agree(self, case):
+        ring, _, rows = case
+        ints = [[x if type(x) is int else x.numerator for x in row] for row in rows]
+        red, pivots = rref(ints, ring)
+        assert all(type(x) is field_type(ring) for row in red for x in row)
+        if ring is QQ:
+            assert (red, pivots) == rref([[Fraction(x) for x in row] for row in ints], QQ)
+
+    def test_pivots_are_not_scaled(self):
+        assert echelon([[2, 4, 6], [1, 3, 3]], QQ) == ([[1, 0, 3], [0, 1, 0]], [0, 1])
+        assert echelon([[Fraction(2, 3), Fraction(1, 2)]], QQ) == ([[4, 3]], [0])
+        assert echelon([[2, 4]], GF(7)) == ([[2, 4]], [0])
+        assert kernel([[2, 1]], QQ) == [[-1, 2]]
+        assert kernel([[2, 4], [1, 2]], GF(7)) == [[3, 2]]
 
 
 class TestNullspaceAndSolve:

@@ -64,6 +64,10 @@ FAULTS = [
      "if row is None or row[0] < order:", "if row is None:"),
     ("% p dropped from the GF series add", "exactnum.py",
      "tuple(c % p for c in coeffs)", "tuple(coeffs)"),
+    ("minus sign dropped on the pivot entries of an integer kernel vector", "_linalg.py",
+     "v[c] = -row[f] * (v[f] // row[c])", "v[c] = row[f] * (v[f] // row[c])"),
+    ("bool let through PlaneCurveRing's int fast path", "hochschild.py",
+     "keep = type(coeff) is int and", "keep = isinstance(coeff, int) and"),
 ]
 
 
