@@ -354,8 +354,8 @@ def _characteristic(text: str) -> int:
     char = int(text)
     try:
         ring_of_characteristic(char)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is neither 0 nor a prime") from None
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(f"{err}; --char takes 0 or a prime") from None
     return char
 
 

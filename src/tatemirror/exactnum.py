@@ -17,14 +17,20 @@ from .errors import NonUnitError, RingMismatchError
 _QQ_ZERO, _QQ_ONE = Fraction(0), Fraction(1)  # QQ.zero(), QQ.one(): a Fraction is immutable
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981  # the least strong pseudoprime to them all
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    """Miller-Rabin with the prime bases 2..41: exact for p < _PRIME_BOUND."""
+    if p < 2 or any(p % a == 0 for a in _PRIME_BASES):
+        return p in _PRIME_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2**s with d odd
+    d = (p - 1) >> s
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x != 1 and p - 1 not in (pow(x, 1 << i, p) for i in range(s)):
             return False
-        d += 1
     return True
 
 
@@ -121,6 +127,8 @@ QQ = Ring("QQ")
 
 
 def GF(p: int) -> Ring:
+    if p >= _PRIME_BOUND:
+        raise ValueError(f"{p} is past the primality bound {_PRIME_BOUND}")
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     return Ring("GF", p)

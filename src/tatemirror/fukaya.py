@@ -7,12 +7,11 @@ perturbed lattice points inside the planar lift.  Every sign is +1: the sign
 is the parity of boundary stars, which is always even, so the products never
 count stars; ``star_count`` derives them from a triangle's Fraction vertices
 for the parity check only.  Elements share the section ring's slot-row type
-(``FloerElement`` is ``theta.ThetaElement``); only the basis product differs.
+(``FloerElement`` is ``theta.ThetaElement``), its (j, exponent) basis-product
+contract and its table (``theta._kept_shifts``); only the exponent differs.
 The q-exponents come from lattice counting only; the section-ring
 multiplication rule is consulted only by the q = 0 cross-check in
-``dehn_table_q0``.  ``enumerate_triangles`` keeps each point pair's shifts
-and counts in a table at the largest order asked for, and a lower order
-filters it, so a repeated product counts no lattice points.
+``dehn_table_q0``.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .errors import VerificationFailure
 from .exactnum import QQ, ZZ, QSeries
 from ._linalg import det, nullspace, solve_right, transpose
 from .theta import ThetaElement as FloerElement
-from .theta import j_range, theta_mul, weighted_mean
+from .theta import _kept_shifts, j_range, theta_mul, weighted_mean
 
 
 @dataclass(frozen=True)
@@ -37,9 +36,13 @@ class ImmersedTriangle:
     n1: int
     p1: Fraction
     n2: int
-    p2j: Fraction
+    p2: Fraction
     j: int
     q_exponent: int
+
+    @property
+    def p2j(self) -> Fraction:
+        return self.p2 + self.j
 
     @property
     def vertices(self):
@@ -64,50 +67,36 @@ def star_count(tri: ImmersedTriangle) -> int:
 
 
 # (n1, p1 numerator, p1 denominator, n2, p2 numerator, p2 denominator) ->
-# (K, j0, e0, j1, e1, ...): the kept shifts and their lattice counts at the
-# largest order K enumerated so far, as flat ints
+# (K, j0, e0, j1, e1, ...), see ``theta._kept_shifts``
 _FLOER_TABLE: dict = {}
 
 
 def enumerate_triangles(n1: int, p1, n2: int, p2, order: int):
     """All immersed triangles contributing below the truncation order.
 
-    One triangle per shift j in the enumeration window; each carries its
-    perturbed-lattice-point count as q-exponent.  Triangles whose exponent
-    reaches the order are dropped.  No star is counted here: the stars come
-    only from ``star_count`` on the triangle's Fraction vertices.
-
-    The shifts and counts are read from ``_FLOER_TABLE``, keyed by the
-    integers of (n1, p1, n2, p2), which holds them at the largest order K
-    asked for so far; a call above K rebuilds the entry with ``j_range`` and
-    ``lattice.count_perturbed``.  A call at order k <= K keeps the stored
-    shifts with count < k, which is exact: ``j_window`` grows with the order,
-    so the shifts of ``j_range`` at k lie among those at K, and every shift
-    outside ``j_window(k)`` has count >= k (the count is the area excess that
-    ``j_window`` bounds).  The triangles are built fresh on every call.
+    One triangle per shift j of ``j_range``, with its perturbed-lattice-point
+    count as q-exponent; triangles whose exponent reaches the order are
+    dropped.  No star is counted here.  The shifts and counts are tabled in
+    ``_FLOER_TABLE`` by the integers of (n1, p1, n2, p2); the triangles are
+    built fresh on every call.
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("degrees must be positive")
     p1, p2 = Fraction(p1), Fraction(p2)
-    key = (n1, p1.numerator, p1.denominator, n2, p2.numerator, p2.denominator)
-    row = _FLOER_TABLE.get(key)
-    if row is None or row[0] < order:
-        flat = [order]
+
+    def build(order):
         for j in j_range(n1, p1, n2, p2, order):
-            exponent = lattice.count_perturbed(n1, p1, n2, p2 + j)
-            if exponent < order:
-                flat += (j, exponent)
-        row = _FLOER_TABLE[key] = tuple(flat)
-    return [ImmersedTriangle(n1, p1, n2, p2 + j, j, e)
-            for j, e in zip(row[1::2], row[2::2]) if e < order]
+            yield j, lattice.count_perturbed(n1, p1, n2, p2 + j)
+
+    key = (n1, p1.numerator, p1.denominator, n2, p2.numerator, p2.denominator)
+    return [ImmersedTriangle(n1, p1, n2, p2, j, e)
+            for j, e in _kept_shifts(_FLOER_TABLE, key, order, build)]
 
 
 def _floer_terms(n1: int, m1: int, n2: int, m2: int, order: int):
     """Floer basis product of the slots m1/n1 and m2/n2: one q-power per
-    immersed triangle (every sign is +1), as (target slot numerator, exponent)
-    in plain ints; the target is the slot of the third vertex
-    (m1 + m2 + n2*j)/(n1 + n2)."""
-    return [((m1 + m2 + n2 * tri.j) % (n1 + n2), tri.q_exponent)
+    immersed triangle (every sign is +1), as (j, exponent) ints."""
+    return [(tri.j, tri.q_exponent)
             for tri in enumerate_triangles(n1, Fraction(m1, n1), n2, Fraction(m2, n2), order)]
 
 

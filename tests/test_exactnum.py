@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tatemirror.errors import NonUnitError, RingMismatchError
-from tatemirror.exactnum import GF, QQ, ZZ, QSeries, divisor_power_sum
+from tatemirror.exactnum import GF, QQ, ZZ, QSeries, _is_prime, divisor_power_sum
 
 
 def zser(coeffs, order=None):
@@ -59,6 +60,24 @@ class TestScalar:
     def test_gf_requires_prime(self):
         with pytest.raises(ValueError):
             GF(6)
+
+    def test_primality_agrees_with_trial_division(self):
+        primes = []  # trial division by the primes found so far, up to sqrt(n)
+        for n in range(2, 10 ** 5):
+            if all(n % d for d in itertools.takewhile(lambda d: d * d <= n, primes)):
+                primes.append(n)
+        assert [n for n in range(-5, 10 ** 5) if _is_prime(n)] == primes
+
+    def test_primality_rejects_pseudoprimes_and_takes_large_primes(self):
+        # Carmichael numbers, and the least strong pseudoprime to bases 2, 3, 5, 7
+        for n in (561, 41041, 3215031751):
+            assert not _is_prime(n)
+            with pytest.raises(ValueError):
+                GF(n)
+        assert GF(2 ** 61 - 1).characteristic == 2 ** 61 - 1
+        assert GF(10 ** 14 + 31).characteristic == 10 ** 14 + 31
+        with pytest.raises(ValueError, match="bound"):
+            GF(2 ** 89 - 1)
 
     @pytest.mark.parametrize("ring", [ZZ, QQ, GF(5)])
     def test_bool_rejected_in_every_ring(self, ring):

@@ -95,8 +95,8 @@ class TestFloerProduct:
         flo = fukaya.floer_product(2, Fraction(1, 2), 3, Fraction(1, 3), 9)
         the = theta.theta_mul(theta.ThetaElement.basis(2, Fraction(1, 2), 9),
                               theta.ThetaElement.basis(3, Fraction(1, 3), 9))
-        assert {pt.m: list(c.coeffs) for pt, c in flo.coeffs.items()} == \
-            {pt.m: list(c.coeffs) for pt, c in the.coeffs.items()}
+        assert {m: list(c.coeffs) for m, c in flo.coeffs.items()} == \
+            {m: list(c.coeffs) for m, c in the.coeffs.items()}
 
     def test_floer_mul_commutes_and_associates(self):
         rng = random.Random(33)
@@ -144,9 +144,9 @@ class TestFloerIndependence:
 
 
 class TestSlotRows:
-    def test_products_never_build_or_hash_a_cyclic_point(self, monkeypatch, cold_tables):
-        # elements are rows by slot numerator: CyclicPoint only names slots
-        # for the coeffs view, so no product path may construct or hash one
+    def test_products_never_build_the_coeffs_view(self, monkeypatch, cold_tables):
+        # elements are rows by slot numerator: the coeffs dict is a view for
+        # callers, so no product path may build one
         pairs, triples = TestFloerIndependence.PAIRS, TestFloerIndependence.TRIPLES
         order = 4
         bases = [[theta.ThetaElement.basis(n, p, order) for n, p in t] for t in triples]
@@ -154,10 +154,9 @@ class TestSlotRows:
         cold_tables()
 
         def forbidden(*args):
-            raise AssertionError("CyclicPoint built or hashed on a product path")
+            raise AssertionError("coeffs view built on a product path")
 
-        monkeypatch.setattr(theta.CyclicPoint, "__hash__", forbidden)
-        monkeypatch.setattr(theta.CyclicPoint, "__post_init__", forbidden)
+        monkeypatch.setattr(theta.ThetaElement, "coeffs", property(forbidden))
         for (n1, p1, n2, p2), want in zip(pairs, expected):
             assert fukaya.floer_product(n1, p1, n2, p2, order) == want
             assert theta.theta_mul(theta.ThetaElement.basis(n1, p1, order),
@@ -172,7 +171,7 @@ class TestSlotRows:
         assert [list(r.coeffs) for r in fukaya.floer_mul(fukaya.floer_mul(a, b), c).rows] == [
             [0, 2, 2, 0], [1, 1, 1, 3], [1, 2, 1, 1], [1, 2, 1, 1], [1, 1, 1, 3]]
         with pytest.raises(AssertionError):
-            theta.CyclicPoint(2, 1)
+            a.coeffs
 
 
 class TestDehnTable:
@@ -235,7 +234,7 @@ class TestRelationKernel:
         order = 5
         series = fukaya.relation_kernel(order)
         monos = fukaya._degree_six_monomials(order)
-        for pt in theta.graded_basis(6):
+        for pt in range(6):
             total = QSeries.zero(series[0].ring, order)
             for s, m in zip(series, monos):
                 total = total + s * m.coeffs[pt].to_ring(series[0].ring)
@@ -259,7 +258,7 @@ class TestRelationCrossRoute:
         monos = [mul(yp, yp), mul(xp, mul(xp, xp)), mul(mul(xp, yp), zp),
                  mul(mul(xp, xp), z2), mul(yp, z3), mul(xp, z4),
                  mul(zp, mul(zp, z4))]
-        for pt in theta.graded_basis(6):
+        for pt in range(6):
             total = QSeries.zero(ring, order)
             for coeff, mono in zip(series, monos):
                 total = total + coeff * mono.coeffs[pt].to_ring(ring)

@@ -125,8 +125,8 @@ class TestCountPerturbed:
         for args, count in cases:
             assert lattice.count_perturbed(*args) == count
         product = fukaya.floer_product(3, Fraction(1, 3), 4, Fraction(1, 4), 6)
-        assert {pt.m: [k for k, c in enumerate(s.coeffs) if c]
-                for pt, s in product.coeffs.items() if not s.is_zero()} == \
+        assert {m: [k for k, c in enumerate(s.coeffs) if c]
+                for m, s in product.coeffs.items() if not s.is_zero()} == \
             {1: [4], 2: [0], 3: [3], 5: [1], 6: [1]}
         assert all(c in (0, 1) for s in product.coeffs.values() for c in s.coeffs)
 

@@ -154,7 +154,7 @@ class TestIntegerKernels:
         assert theta.j_range(2, Fraction(1, 7), 3, Fraction(5, 4), 4) == range(-6, 4)
         prod = theta.theta_mul(theta.ThetaElement.basis(2, Fraction(1, 2), 9),
                                theta.ThetaElement.basis(3, Fraction(1, 3), 9))
-        assert {pt.m: list(c.coeffs) for pt, c in prod.coeffs.items()} == {
+        assert {m: list(c.coeffs) for m, c in prod.coeffs.items()} == {
             0: [0, 1, 0, 0, 0, 0, 0, 0, 0], 1: [0, 0, 0, 1, 0, 1, 0, 0, 0],
             2: [1, 0, 0, 0, 0, 0, 0, 0, 0], 3: [0, 0, 1, 0, 0, 0, 1, 0, 0],
             4: [0, 1, 0, 0, 0, 0, 0, 0, 0]}
@@ -163,19 +163,24 @@ class TestIntegerKernels:
 
 
 class TestCyclicPoint:
+    """A point of the cyclic set (1/n)Z mod Z is its slot numerator 0 <= m < n."""
+
     def test_reduction(self):
-        assert theta.CyclicPoint.from_fraction(3, Fraction(5, 3)).m == 2
-        assert theta.CyclicPoint.from_fraction(3, Fraction(-1, 3)).m == 2
+        slot2 = theta.ThetaElement.basis(3, Fraction(2, 3), 4)
+        assert theta.ThetaElement.basis(3, Fraction(5, 3), 4) == slot2
+        assert theta.ThetaElement.basis(3, Fraction(-1, 3), 4) == slot2
+        assert slot2.q0_map() == {2: 1}
 
     def test_rejects_wrong_denominator(self):
         with pytest.raises(ValueError):
-            theta.CyclicPoint.from_fraction(3, Fraction(1, 2))
+            theta.ThetaElement.basis(3, Fraction(1, 2), 4)
 
     def test_graded_basis(self):
-        assert theta.graded_basis(1) == [theta.CyclicPoint(1, 0)]
-        assert [Fraction(pt.m, pt.n) for pt in theta.graded_basis(3)] == [
-            Fraction(0), Fraction(1, 3), Fraction(2, 3)]
-        assert len(theta.graded_basis(6)) == 6
+        # the degree-n basis is indexed by the slots range(n); m/n sits on slot m
+        for n in (1, 3, 6):
+            assert list(theta.ThetaElement.zero(n, 2).coeffs) == list(range(n))
+        assert [theta.ThetaElement.basis(3, Fraction(m, 3), 2).q0_map() for m in range(3)] == [
+            {0: 1}, {1: 1}, {2: 1}]
 
 
 class TestSlotValidation:
@@ -195,15 +200,46 @@ class TestSlotValidation:
 
     def test_degree_must_be_positive(self):
         with pytest.raises(ValueError):
-            theta.graded_basis(0)
+            theta.ThetaElement.basis(0, 0, 3)
         with pytest.raises(ValueError):
             theta.ThetaElement.zero(0, 3)
 
-    def test_graded_basis_returns_a_fresh_list(self):
-        first = theta.graded_basis(3)
-        first.append(theta.CyclicPoint(4, 0))
-        first[0] = theta.CyclicPoint(3, 2)
-        assert theta.graded_basis(3) == [theta.CyclicPoint(3, m) for m in range(3)]
+    def test_coeffs_returns_a_fresh_dict(self):
+        x = theta.ThetaElement.basis(3, Fraction(1, 3), 3)
+        first = x.coeffs
+        first[3] = QSeries.one(ZZ, 3)
+        first[0] = QSeries.one(ZZ, 3)
+        assert x.coeffs == {m: row for m, row in enumerate(x.rows)}
+        assert x == theta.ThetaElement.basis(3, Fraction(1, 3), 3)
+
+
+class TestBilinearContract:
+    def test_each_term_lands_on_the_slot_of_the_weighted_mean(self):
+        # a terms callback yields (j, exponent); bilinear puts q^exponent on
+        # the slot (m1 + m2 + n2*j) % (n1 + n2) of the mean of m1/n1 and m2/n2 + j
+        calls = []
+
+        def terms(n1, m1, n2, m2, order):
+            calls.append((n1, m1, n2, m2, order))
+            return [(2, 1), (-1, 3)]
+
+        x = theta.ThetaElement.basis(2, Fraction(1, 2), 5)
+        y = theta.ThetaElement.basis(3, Fraction(2, 3), 5)
+        prod = x.bilinear(y, terms)
+        assert calls == [(2, 1, 3, 2, 5)]
+        assert [list(r.coeffs) for r in prod.rows] == [
+            [0, 0, 0, 1, 0], [0] * 5, [0] * 5, [0] * 5, [0, 1, 0, 0, 0]]
+
+    def test_target_is_the_slot_of_the_fraction_mean(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            n1, n2, j = rng.randint(1, 6), rng.randint(1, 6), rng.randint(-9, 9)
+            m1, m2 = rng.randrange(n1), rng.randrange(n2)
+            prod = theta.ThetaElement.basis(n1, Fraction(m1, n1), 2).bilinear(
+                theta.ThetaElement.basis(n2, Fraction(m2, n2), 2),
+                lambda *args: [(j, 0)])
+            mean = theta.weighted_mean(n1, Fraction(m1, n1), n2, Fraction(m2, n2) + j)
+            assert prod == theta.ThetaElement.basis(n1 + n2, mean, 2), (n1, m1, n2, m2, j)
 
 
 class TestThetaMul:
@@ -211,14 +247,14 @@ class TestThetaMul:
         x = theta.ThetaElement.basis(1, 0, 6)
         sq = theta.theta_mul(x, x)
         assert sq.degree == 2
-        assert list(sq.coeff(0).coeffs) == [1, 2, 0, 0, 2, 0]
-        assert list(sq.coeff(Fraction(1, 2)).coeffs) == [2, 0, 2, 0, 0, 0]
+        assert list(sq.rows[0].coeffs) == [1, 2, 0, 0, 2, 0]
+        assert list(sq.rows[1].coeffs) == [2, 0, 2, 0, 0, 0]
 
     def test_mixed_product_at_q0(self):
         prod = theta.theta_mul(theta.ThetaElement.basis(1, 0, 1),
                                theta.ThetaElement.basis(2, Fraction(1, 2), 1))
-        support = {Fraction(pt.m, pt.n): c.coeffs[0]
-                   for pt, c in prod.coeffs.items() if not c.is_zero()}
+        support = {Fraction(m, prod.degree): c.coeffs[0]
+                   for m, c in prod.coeffs.items() if not c.is_zero()}
         assert support == {Fraction(1, 3): 1, Fraction(2, 3): 1}
 
     def test_commutative_on_random_basis_pairs(self):

@@ -58,10 +58,10 @@ FAULTS = [
     ("bool check dropped from Ring.coerce", "exactnum.py",
      "if isinstance(x, bool):\n            raise TypeError(\"bool is not a ring element\")\n"
      "        if self.kind == \"ZZ\":", "if self.kind == \"ZZ\":"),
-    ("stale section table read above its order", "theta.py",
+    ("stale shift table read above its order", "theta.py",
      "if row is None or row[0] < order:", "if row is None:"),
-    ("stale Floer table read above its order", "fukaya.py",
-     "if row is None or row[0] < order:", "if row is None:"),
+    ("n1 for n2 in bilinear's target slot", "theta.py",
+     "(m1 + m2 + n2 * j)", "(m1 + m2 + n1 * j)"),
     ("% p dropped from the GF series add", "exactnum.py",
      "tuple(c % p for c in coeffs)", "tuple(coeffs)"),
     ("minus sign dropped on the pivot entries of an integer kernel vector", "_linalg.py",
