@@ -8,6 +8,7 @@ reduced residues.  No floats appear anywhere in the package.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -166,11 +167,14 @@ class QSeries:
     def const(ring: Ring, order: int, c) -> "QSeries":
         return QSeries.make(ring, order, [c])
 
+    # a series is immutable, so zero and one are built once per (ring, order)
     @staticmethod
+    @functools.cache
     def zero(ring: Ring, order: int) -> "QSeries":
         return QSeries.make(ring, order, [])
 
     @staticmethod
+    @functools.cache
     def one(ring: Ring, order: int) -> "QSeries":
         return QSeries.make(ring, order, [1])
 
@@ -225,6 +229,8 @@ class QSeries:
         self._check(other)
         k = self.order
         a, b = self.coeffs, other.coeffs
+        if a.count(0) < b.count(0):  # the loop skips the zeros of a
+            a, b = b, a
         out = [self.ring.zero()] * k
         for i, ai in enumerate(a):
             if ai:
@@ -251,14 +257,11 @@ class QSeries:
         c0 = self.coeffs[0]
         if not self.ring.is_unit(c0):
             raise NonUnitError(f"constant term {c0} is not a unit of {self.ring!r}")
-        inv0 = self.ring.invert(c0)
+        ring, c = self.ring, self.coeffs
+        inv0 = ring.invert(c0)
         out = [inv0]
-        mul = self.ring.mul
-        for n in range(1, self.order):
-            acc = self.ring.zero()
-            for i in range(1, n + 1):
-                acc = self.ring.add(acc, mul(self.coeffs[i], out[n - i]))
-            out.append(mul(inv0, self.ring.neg(acc)))
+        for n in range(1, self.order):  # c[1]*out[n-1] + ... + c[n]*out[0]
+            out.append(ring.coerce(-inv0 * sum(map(operator.mul, c[n:0:-1], out))))
         return QSeries(self.ring, self.order, tuple(out))
 
     def exact_div(self, d: int) -> "QSeries":

@@ -17,6 +17,7 @@ multiplication rule is consulted only by the q = 0 cross-check in
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from .errors import VerificationFailure
 from .exactnum import QQ, ZZ, QSeries
 from ._linalg import det, nullspace, solve_right, transpose
 from .theta import ThetaElement as FloerElement
-from .theta import _kept_shifts, j_range, theta_mul, weighted_mean
+from .theta import _kept_shifts, _slot_point, j_range, theta_mul, weighted_mean
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ def star_count(tri: ImmersedTriangle) -> int:
 
 
 # (n1, p1 numerator, p1 denominator, n2, p2 numerator, p2 denominator) ->
-# (K, j0, e0, j1, e1, ...), see ``theta._kept_shifts``
+# (K, lo, e_lo, ..., e_hi), see ``theta._kept_shifts``
 _FLOER_TABLE: dict = {}
 
 
@@ -76,28 +77,31 @@ def enumerate_triangles(n1: int, p1, n2: int, p2, order: int):
 
     One triangle per shift j of ``j_range``, with its perturbed-lattice-point
     count as q-exponent; triangles whose exponent reaches the order are
-    dropped.  No star is counted here.  The shifts and counts are tabled in
-    ``_FLOER_TABLE`` by the integers of (n1, p1, n2, p2); the triangles are
-    built fresh on every call.
+    dropped.  No star is counted here.  The count of every shift of the
+    window is tabled in ``_FLOER_TABLE`` by the integers of (n1, p1, n2, p2),
+    so a higher order counts only the shifts its wider window adds (see
+    ``theta._kept_shifts``); the triangles are built fresh on every call.
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("degrees must be positive")
     p1, p2 = Fraction(p1), Fraction(p2)
+    a2, d2 = p2.numerator, p2.denominator
 
-    def build(order):
-        for j in j_range(n1, p1, n2, p2, order):
-            yield j, lattice.count_perturbed(n1, p1, n2, p2 + j)
+    def exponent(j):
+        return lattice.count_perturbed(n1, p1, n2, Fraction(a2 + j * d2, d2))  # p2 + j
 
-    key = (n1, p1.numerator, p1.denominator, n2, p2.numerator, p2.denominator)
+    key = (n1, p1.numerator, p1.denominator, n2, a2, d2)
     return [ImmersedTriangle(n1, p1, n2, p2, j, e)
-            for j, e in _kept_shifts(_FLOER_TABLE, key, order, build)]
+            for j, e in _kept_shifts(_FLOER_TABLE, key, order,
+                                     lambda k: j_range(n1, p1, n2, p2, k), exponent)]
 
 
 def _floer_terms(n1: int, m1: int, n2: int, m2: int, order: int):
     """Floer basis product of the slots m1/n1 and m2/n2: one q-power per
     immersed triangle (every sign is +1), as (j, exponent) ints."""
     return [(tri.j, tri.q_exponent)
-            for tri in enumerate_triangles(n1, Fraction(m1, n1), n2, Fraction(m2, n2), order)]
+            for tri in enumerate_triangles(n1, _slot_point(m1, n1), n2, _slot_point(m2, n2),
+                                           order)]
 
 
 def floer_mul(x: FloerElement, y: FloerElement) -> FloerElement:
@@ -215,8 +219,8 @@ def relation_kernel(order: int):
     if order < 1:
         raise ValueError("order must be >= 1")
     monos = _degree_six_monomials(order)
-    # entries[row][col]: the q-coefficients of monomial row in slot col
-    entries = [[slot.coeffs for slot in m.rows] for m in monos]
+    # backwards[row][col]: the q-coefficients of monomial row in slot col, reversed
+    backwards = [[slot.coeffs[::-1] for slot in m.rows] for m in monos]
 
     m0t = _q0_matrix(monos)
     kernel = nullspace(m0t, QQ)
@@ -233,16 +237,20 @@ def relation_kernel(order: int):
             "q=0 block without y'^2 is not unimodular; the relation is not integral")
     inverse = [[int(v) for v in row] for row in inverse]
 
-    cs = []  # cs[m][row]: the q^m coefficient of the relation at monomial row
+    # found[row]: the relation's q-coefficients at monomial row, q^0 up; the
+    # q^m coefficient of found[row] times a slot series is one dot product of
+    # found[row] with that series' q^m, ..., q^0 coefficients
+    found = [[] for _ in range(7)]
     for m in range(order):
-        cs.append([int(m == 0)] + [0] * 6)  # y'^2 fixed at 1; the rest still unknown
-        rhs = [-sum(cs[m - i][row] * entries[row][col][i]
-                    for i in range(m + 1) for row in range(7) if cs[m - i][row])
+        found[0].append(int(m == 0))  # y'^2 fixed at 1; the rest still unknown
+        start = order - 1 - m
+        rhs = [-sum(sum(map(operator.mul, found[row], backwards[row][col][start:]))
+                    for row in range(7))
                for col in range(6)]
-        cs[m][1:] = [sum(b * v for b, v in zip(brow, rhs)) for brow in inverse]
+        for row, brow in enumerate(inverse, 1):
+            found[row].append(sum(map(operator.mul, brow, rhs)))
 
-    series = [QSeries.make(ZZ, order, [cs[d][i] for d in range(order)])
-              for i in range(7)]
+    series = [QSeries.make(ZZ, order, coeffs) for coeffs in found]
 
     # residual must vanish identically below the truncation order
     for m in range(6):

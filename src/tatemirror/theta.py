@@ -9,11 +9,12 @@ computes; here the exponent is the piecewise-linear excess ``lambda_exp``.
 the Fraction formulas (``phi``, ``psi``, ``weighted_mean``, ``area``,
 ``lambda_exp_reference``) are their oracles and share no code with them.
 ``_kept_shifts`` tables each slot pair's terms for both rings, so ``theta_mul``
-evaluates ``lambda_exp`` once per slot pair and order increase.
+evaluates ``lambda_exp`` once per slot pair and shift.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -142,14 +143,15 @@ class ThetaElement:
 
     @staticmethod
     def basis(degree: int, p, order: int, ring: Ring = ZZ) -> "ThetaElement":
-        """The basis element of index p in (1/degree)Z mod Z: slot degree*p mod degree."""
+        """The basis element of index p (an int or Fraction) in (1/degree)Z mod Z:
+        slot degree*p mod degree."""
         if degree < 1:
             raise ValueError("degree must be positive")
-        scaled = Fraction(p) * degree
-        if scaled.denominator != 1:
+        slot, rem = divmod(p.numerator * degree, p.denominator)
+        if rem:
             raise ValueError(f"{p} is not in (1/{degree})Z")
         rows = [QSeries.zero(ring, order)] * degree
-        rows[scaled.numerator % degree] = QSeries.one(ring, order)
+        rows[slot % degree] = QSeries.one(ring, order)
         return ThetaElement(degree, order, rows)
 
     def _check(self, other: "ThetaElement", same_degree: bool = True):
@@ -214,43 +216,62 @@ class ThetaElement:
         return ThetaElement(n3, order, out)
 
 
-def _kept_shifts(table: dict, key, order: int, build):
+def _kept_shifts(table: dict, key, order: int, shifts, exponent):
     """The (j, exponent) terms of one basis product below ``order``, tabled.
 
-    ``table[key]`` is the flat int tuple (K, j0, e0, j1, e1, ...) of the terms
-    that ``build(K)`` yielded below the largest order K asked for so far.  A
-    call above K rebuilds it; only a rebuild calls ``build``.  A call at k <= K
-    keeps the stored terms with exponent < k.  That is exact for shifts from
-    ``j_range``: ``j_window`` grows with the order, so the shifts at k lie
-    among those at K, and every shift outside ``j_window(k)`` has exponent
-    >= k (the exponent is the area excess that ``j_window`` bounds).
+    ``table[key]`` is the flat int tuple (K, lo, e_lo, ..., e_hi): the exponent
+    of every shift j of the window ``shifts(K)`` = range(lo, hi + 1), kept or
+    not, for the largest order K asked for so far.  A call above K extends the
+    entry to the window ``shifts(order)``: ``exponent(j)`` runs only at the
+    shifts that the wider window adds on either side, so it runs once per slot
+    pair and shift.  That needs the windows to be nested; they are, because
+    ``j_range`` keeps its centre p1 - p2 and ``j_window`` never shrinks as the
+    order grows, and a window that is not nested raises ``InvariantError``.
+    A call at k <= K keeps the stored terms with exponent < k.  That is exact:
+    the shifts at k lie among those at K, and every shift outside
+    ``j_window(k)`` has exponent >= k (the exponent is the area excess that
+    ``j_window`` bounds).
     """
     row = table.get(key)
     if row is None or row[0] < order:
-        flat = [order]
-        for j, exponent in build(order):
-            if exponent < order:
-                flat += (j, exponent)
-        row = table[key] = tuple(flat)
-    return [(j, e) for j, e in zip(row[1::2], row[2::2]) if e < order]
+        window = shifts(order)
+        if row is None:
+            exps = tuple(map(exponent, window))
+        else:
+            lo, hi = row[1], row[1] + len(row) - 3
+            if window.start > lo or window.stop <= hi:
+                raise InvariantError(
+                    f"shift window {window} does not contain [{lo}, {hi}] at {key}")
+            exps = (tuple(map(exponent, range(window.start, lo))) + row[2:]
+                    + tuple(map(exponent, range(hi + 1, window.stop))))
+        row = table[key] = (order, window.start) + exps
+    return [(j, e) for j, e in enumerate(row[2:], row[1]) if e < order]
 
 
-# (n1, m1, n2, m2) -> (K, j0, e0, j1, e1, ...), see ``_kept_shifts``
+# (n1, m1, n2, m2) -> (K, lo, e_lo, ..., e_hi), see ``_kept_shifts``
 _SECTION_TABLE: dict = {}
+
+
+@functools.cache
+def _slot_point(m: int, n: int) -> Fraction:
+    """The point m/n of a slot, built once: a table hit then builds no Fraction."""
+    return Fraction(m, n)
 
 
 def _section_terms(n1: int, m1: int, n2: int, m2: int, order: int):
     """Section-ring basis product of the slots m1/n1 and m2/n2: q^lambda per
     shift j, as (j, exponent) ints, tabled in ``_SECTION_TABLE``."""
-    def build(order):
-        p1, p2 = Fraction(m1, n1), Fraction(m2, n2)
-        for j in j_range(n1, p1, n2, p2, order):
-            lam = lambda_exp(n1, p1, n2, p2 + j)
-            if lam.denominator != 1 or lam < 0:
-                raise InvariantError(f"exponent {lam} at ({n1},{p1};{n2},{p2 + j})")
-            yield j, int(lam)
+    p1, p2 = _slot_point(m1, n1), _slot_point(m2, n2)
+    a2, d2 = p2.numerator, p2.denominator
 
-    return _kept_shifts(_SECTION_TABLE, (n1, m1, n2, m2), order, build)
+    def exponent(j):
+        lam = lambda_exp(n1, p1, n2, Fraction(a2 + j * d2, d2))  # p2 + j
+        if lam.denominator != 1 or lam.numerator < 0:
+            raise InvariantError(f"exponent {lam} at ({n1},{p1};{n2},{p2 + j})")
+        return lam.numerator
+
+    return _kept_shifts(_SECTION_TABLE, (n1, m1, n2, m2), order,
+                        lambda k: j_range(n1, p1, n2, p2, k), exponent)
 
 
 def theta_mul(x: ThetaElement, y: ThetaElement) -> ThetaElement:

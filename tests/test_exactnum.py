@@ -194,6 +194,42 @@ def test_sum_commutes_with_reduction(s, t, p):
         assert all(0 <= c < p for c in got.coeffs)
 
 
+SERIES_RINGS = (ZZ, QQ, GF(2), GF(3), GF(7))
+
+
+@st.composite
+def ring_series(draw, ring, order, unit=False):
+    """A series over ring: dense, or sparse with at most two nonzero terms;
+    with ``unit`` its constant term is a unit of the ring."""
+    if ring is QQ:
+        value = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    else:
+        value = short_ints
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(value, min_size=order, max_size=order))
+    else:
+        coeffs = [0] * order
+        for i in draw(st.lists(st.integers(0, order - 1), max_size=2)):
+            coeffs[i] = draw(value)
+    if unit:
+        coeffs[0] = draw(st.sampled_from([1, -1]) if ring is ZZ
+                         else value.filter(lambda c: ring.coerce(c) != 0))
+    return QSeries.make(ring, order, coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_products_commute_and_inverses_invert_over_every_ring(data):
+    ring = data.draw(st.sampled_from(SERIES_RINGS))
+    order = data.draw(st.integers(1, 8))
+    a, b = data.draw(ring_series(ring, order)), data.draw(ring_series(ring, order))
+    product = QSeries.make(ring, order, [sum(a.coeffs[i] * b.coeffs[n - i]
+                                             for i in range(n + 1)) for n in range(order)])
+    assert a * b == b * a == product
+    x = data.draw(ring_series(ring, order, unit=True))
+    assert x.invert() * x == x * x.invert() == QSeries.one(ring, order)
+
+
 class TestDivisorPowerSum:
     def test_small_values(self):
         assert divisor_power_sum(3, 1) == 1

@@ -1,7 +1,8 @@
 """The structure-constant tables behind both basis products.
 
 Each ring keeps one table entry per slot pair, built at the largest order
-asked for so far; a lower order filters it and a higher one rebuilds it.
+asked for so far; a lower order filters it and a higher one extends it by the
+shifts its wider window adds.
 """
 
 import random
@@ -10,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from tatemirror import fukaya, lattice, theta
+from tatemirror.errors import InvariantError
 
 MAX_ORDER = 12
 SLOT_PAIRS = [(n1, m1, n2, m2)
@@ -130,3 +132,44 @@ def test_off_grid_points_have_their_own_entries(cold_tables):
     assert [t.q_exponent for t in a] == [t.q_exponent for t in b]
     assert all(t.p1 == Fraction(5, 2) for t in b)
     assert len(fukaya._FLOER_TABLE) == 2
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_ascending_orders_evaluate_each_shift_once(ring, monkeypatch, cold_tables):
+    # visiting orders 1..12 in turn extends each entry by the new shifts only:
+    # the kernel runs once per shift of the order-12 window, never twice
+    terms = RINGS[ring]
+    pairs = [(1, 0, 1, 0), (2, 1, 3, 2), (5, 3, 2, 0), (4, 1, 4, 3), (7, 6, 1, 0)]
+    cold = {}
+    for pair in pairs:
+        for order in range(1, MAX_ORDER + 1):
+            cold_tables()
+            cold[pair, order] = list(terms(*pair, order))
+    cold_tables()
+    module, name = {"section": (theta, "lambda_exp"),
+                    "floer": (lattice, "count_perturbed")}[ring]
+    kernel, shifts = getattr(module, name), []
+
+    def counted(n1, p1, n2, p2j):
+        shifts.append(p2j)
+        return kernel(n1, p1, n2, p2j)
+
+    monkeypatch.setattr(module, name, counted)
+    for n1, m1, n2, m2 in pairs:
+        shifts.clear()
+        for order in range(1, MAX_ORDER + 1):
+            assert list(terms(n1, m1, n2, m2, order)) == cold[(n1, m1, n2, m2), order]
+        p1, p2 = Fraction(m1, n1), Fraction(m2, n2)
+        window = theta.j_range(n1, p1, n2, p2, MAX_ORDER)
+        assert len(shifts) == len(window), (ring, n1, m1, n2, m2)
+        assert sorted(p2j - p2 for p2j in shifts) == list(window)
+
+
+def test_a_window_that_is_not_nested_is_an_invariant_error():
+    # an entry is only extended, so a wider order's window must contain the old one
+    for shifts in (lambda k: range(k, k + 3), lambda k: range(-k, 5 - k)):
+        table = {}
+        assert theta._kept_shifts(table, "pair", 2, shifts, lambda j: 0) == [
+            (j, 0) for j in shifts(2)]
+        with pytest.raises(InvariantError, match="does not contain"):
+            theta._kept_shifts(table, "pair", 3, shifts, lambda j: 0)

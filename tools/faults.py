@@ -60,6 +60,12 @@ FAULTS = [
      "        if self.kind == \"ZZ\":", "if self.kind == \"ZZ\":"),
     ("stale shift table read above its order", "theta.py",
      "if row is None or row[0] < order:", "if row is None:"),
+    ("extension window off by one", "theta.py",
+     "row[1] + len(row) - 3", "row[1] + len(row) - 2"),
+    ("old window re-read one place late", "theta.py",
+     "+ row[2:]", "+ row[3:]"),
+    ("right side of the nested-window guard dropped", "theta.py",
+     "if window.start > lo or window.stop <= hi:", "if window.start > lo:"),
     ("n1 for n2 in bilinear's target slot", "theta.py",
      "(m1 + m2 + n2 * j)", "(m1 + m2 + n1 * j)"),
     ("% p dropped from the GF series add", "exactnum.py",
