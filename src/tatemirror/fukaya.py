@@ -79,12 +79,12 @@ def enumerate_triangles(n1: int, p1, n2: int, p2, order: int):
     count as q-exponent; triangles whose exponent reaches the order are
     dropped.  No star is counted here.  The count of every shift of the
     window is tabled in ``_FLOER_TABLE`` by the integers of (n1, p1, n2, p2),
-    so a higher order counts only the shifts its wider window adds (see
-    ``theta._kept_shifts``); the triangles are built fresh on every call.
+    an int or a Fraction point alike, so a higher order counts only the shifts
+    its wider window adds (see ``theta._kept_shifts``); the triangles are built
+    fresh on every call, with the points as given.
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("degrees must be positive")
-    p1, p2 = Fraction(p1), Fraction(p2)
     a2, d2 = p2.numerator, p2.denominator
 
     def exponent(j):

@@ -14,7 +14,7 @@ kernels below run on ``_linalg``'s integer elimination.
 Even cohomology of the curve ring is carried by the Tjurina algebra
 T = R/(f_x, f_y), odd cohomology by the middle homology of the two-step
 complex built from (f_x, f_y); both are computed here, together with the
-graded ranks of the resolution dga for the cusp.
+graded ranks of the cusp's resolution dga, its differential one image table.
 """
 
 from __future__ import annotations
@@ -127,14 +127,9 @@ class PlaneCurveRing:
 
     def monomials(self, max_weight: int):
         """Basis monomials x^a y^b, b <= 1, of weight <= max_weight."""
-        out = []
-        for b in (0, 1):
-            a = 0
-            while 2 * a + 3 * b <= max_weight:
-                out.append((a, b))
-                a += 1
-        out.sort(key=lambda m: (weight(m), m[1]))
-        return out
+        monos = [(a, b) for b in (0, 1) for a in range(max_weight // 2 + 1)]
+        return sorted((m for m in monos if weight(m) <= max_weight),
+                      key=lambda m: (weight(m), m[1]))
 
 
 # -- bounded-degree quotient machinery ---------------------------------------
@@ -294,14 +289,9 @@ class GradedRankTable:
 
 
 def _weight_monomial(w: int):
-    """The unique basis monomial of the given weight, if any."""
-    if w == 0:
-        return (0, 0)
-    if w >= 2 and w % 2 == 0:
-        return (w // 2, 0)
-    if w >= 3 and w % 2 == 1:
-        return ((w - 3) // 2, 1)
-    return None
+    """The unique basis monomial of the given weight, if any: y carries the odd part."""
+    b = w % 2
+    return ((w - 3 * b) // 2, b) if w >= 3 * b else None
 
 
 def _dga_bucket(n: int, s: int):
@@ -322,35 +312,30 @@ def _dga_bucket(n: int, s: int):
     return [(tag, m) for tag, m in comps if m is not None]
 
 
-def _dga_matrix(ring: PlaneCurveRing, n: int, s: int):
-    """Matrix of the dga differential from bidegree (n, s) to (n+1, s)."""
-    field = ring.field
-    src = _dga_bucket(n, s)
-    dst = _dga_bucket(n + 1, s)
-    dst_index = {tm: i for i, tm in enumerate(dst)}
-    rows = [[0] * len(src) for _ in dst]
+def _dga_images(ring: PlaneCurveRing) -> dict:
+    """The dga differential as data: component tag -> ((target tag, factor), ...).
+
+    d(b*beta^k) = 0, d(b*x*) = b*f_x*beta, d(b*y*) = b*f_y*beta and
+    d(b*x*y*) = b*f_x*y* - b*f_y*x*; no tag has two images under one target tag.
+    """
     fx, fy = ring.f_x(), ring.f_y()
+    return {"beta": (), "x*": (("beta", fx),), "y*": (("beta", fy),),
+            "xy": (("y*", fx), ("x*", ring.scale(fy, -1)))}
+
+
+def _dga_matrix(ring: PlaneCurveRing, images: dict, n: int, s: int):
+    """Matrix of the dga differential from (n, s) to (n+1, s), read off ``images``."""
+    src = _dga_bucket(n, s)
+    dst_index = {tm: i for i, tm in enumerate(_dga_bucket(n + 1, s))}
+    rows = [[0] * len(src) for _ in dst_index]
     for j, (tag, mono) in enumerate(src):
-        if tag == "beta":
-            continue  # d(R*beta^k) = 0
-        if tag == "xy":
-            # d(b x*y*) = b f_x y* - b f_y x*
-            images = [("y*", ring.mul({mono: 1}, fx), 1),
-                      ("x*", ring.mul({mono: 1}, fy), -1)]
-        elif tag == "x*":
-            images = [("beta", ring.mul({mono: 1}, fx), 1)]
-        else:
-            images = [("beta", ring.mul({mono: 1}, fy), 1)]
-        for dtag, poly, sgn in images:
-            for m, v in poly.items():
-                key = (dtag, m)
-                if key in dst_index:
-                    val = v if sgn == 1 else field.neg(v)
-                    rows[dst_index[key]][j] = field.add(
-                        rows[dst_index[key]][j], val)
-                elif v:
+        for dtag, factor in images[tag]:
+            for m, v in ring.mul({mono: 1}, factor).items():
+                i = dst_index.get((dtag, m))
+                if i is None:
                     raise VerificationFailure(
-                        f"differential leaves the graded bucket at {key}")
+                        f"differential leaves the graded bucket at {(dtag, m)}")
+                rows[i][j] = v
     return rows, len(src)
 
 
@@ -363,11 +348,12 @@ def cusp_graded_ranks(ring: PlaneCurveRing, n_max: int, s_min: int) -> GradedRan
         raise ValueError("graded ranks are only defined for the cusp")
     if n_max < 0 or s_min > 0:
         raise ValueError("empty window")
+    images = _dga_images(ring)
     ranks = {}
     rank_in = {}  # s -> rank of the differential into row n, carried from row n - 1
     for n in range(n_max + 1):
         for s in range(s_min, 1):
-            d_out, src_dim = _dga_matrix(ring, n, s)
+            d_out, src_dim = _dga_matrix(ring, images, n, s)
             rank_out = _linalg.rank(d_out, ring.field)
             h = src_dim - rank_out - rank_in.get(s, 0)
             rank_in[s] = rank_out

@@ -8,7 +8,8 @@ with coefficients truncated q-series over a common ring; a curve over the
 ring itself, such as the q = 0 fiber, is the order-1 case.
 The group G of coordinate changes x = u^2 x' + r, y = u^3 y' + u^2 s x' + t
 acts on coefficient vectors; its Lie algebra acts on the coefficient space
-and both actions are realized here exactly.
+and both actions are realized here exactly: the Lie layer reads its vector
+fields off ``reparam_apply`` and its bracket off ``reparam_compose``.
 """
 
 from __future__ import annotations
@@ -368,33 +369,23 @@ def lie_basis(ring: Ring):
     return tuple(LieElement.of(ring, **{name: 1}) for name in LIE_NAMES)
 
 
-def lie_matrix(xi: LieElement):
-    """The 3x3 upper-triangular matrix of xi in the group's defining shape."""
-    ring = xi.ring
-    z = ring.zero()
-    return [[ring.mul(ring.coerce(3), xi.du), xi.ds, xi.dt],
-            [z, ring.mul(ring.coerce(2), xi.du), xi.dr],
-            [z, z, z]]
+def _group_element(xi: LieElement, order: int) -> Reparam:
+    """The element (1 + q*du, q*ds, q*dr, q*dt) of G over series of the given order."""
+    return Reparam.from_series(xi.ring, order,
+                               [[1, xi.du], [0, xi.ds], [0, xi.dr], [0, xi.dt]])
 
 
 def lie_bracket(xi: LieElement, eta: LieElement) -> LieElement:
-    """Matrix commutator [xi, eta], decomposed back onto (ds, dr, dt, du)."""
+    """[xi, eta] read off the group law: for the order-3 elements g of xi and
+    h of eta, the q^2 terms of compose(h, g) - compose(g, h) are (du, ds, dr, dt)
+    of the bracket, integer polynomials in the coordinates over every field."""
     ring = xi.ring
     if eta.ring is not ring:
         raise RingMismatchError("bracket of elements over different fields")
-    a, b = lie_matrix(xi), lie_matrix(eta)
-
-    def mul(m, n):
-        return [[ring.add(ring.add(ring.mul(m[i][0], n[0][j]),
-                                   ring.mul(m[i][1], n[1][j])),
-                 ring.mul(m[i][2], n[2][j])) for j in range(3)] for i in range(3)]
-
-    ab, ba = mul(a, b), mul(b, a)
-    comm = [[ring.sub(ab[i][j], ba[i][j]) for j in range(3)] for i in range(3)]
-    for i in range(3):
-        if comm[i][i] != ring.zero():
-            raise InvariantError("commutator acquired a diagonal part")
-    return LieElement(ring, comm[0][1], comm[1][2], comm[0][2], ring.zero())
+    g, h = _group_element(xi, 3), _group_element(eta, 3)
+    du, ds, dr, dt = ((a - b).coeffs[2] for a, b in
+                      zip(reparam_compose(h, g).as_tuple(), reparam_compose(g, h).as_tuple()))
+    return LieElement(ring, ds, dr, dt, du)
 
 
 def lie_vector_field(xi: LieElement, point) -> list:
@@ -407,9 +398,8 @@ def lie_vector_field(xi: LieElement, point) -> list:
     ring = xi.ring
     if not ring.is_field:
         raise ValueError("Lie computations need a field")
-    g = Reparam.from_series(ring, 2, [[1, xi.du], [0, xi.ds], [0, xi.dr], [0, xi.dt]])
     w = WeierstrassCoeffs.from_series(ring, 2, [[v] for v in point])
-    moved = reparam_apply(g, w)
+    moved = reparam_apply(_group_element(xi, 2), w)
     return [v.coeffs[1] for v in moved.as_tuple()]
 
 
@@ -447,13 +437,10 @@ def adjoint_bracket(xi: LieElement, w) -> list:
     projected to coker d.
 
     Requires d(xi) = 0.  The group action is affine in the coefficients, so
-    the derivative is exactly rho(xi)(w) - rho(xi)(0).
+    the derivative is rho(xi)(w) - rho(xi)(0) = rho(xi)(w).
     """
     ring = xi.ring
-    at_zero = lie_vector_field(xi, [0, 0, 0, 0, 0])
-    if any(v != ring.zero() for v in at_zero):
+    if any(v != ring.zero() for v in lie_vector_field(xi, [0, 0, 0, 0, 0])):
         raise ValueError("adjoint_bracket requires an element of ker d")
-    at_w = lie_vector_field(xi, list(w))
-    derivative = [ring.sub(a, b) for a, b in zip(at_w, at_zero)]
     span, pivots = _coker_projection(ring)
-    return _linalg.reduce_mod_span(span, pivots, derivative, ring)
+    return _linalg.reduce_mod_span(span, pivots, lie_vector_field(xi, w), ring)

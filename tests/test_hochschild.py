@@ -214,6 +214,29 @@ class TestGradedRanks:
             table.rank(2, -9)
 
 
+class TestDgaDifferential:
+    @pytest.mark.parametrize("char", (0, 2, 3, 5, 7))
+    def test_differential_squares_to_zero(self, char):
+        # a sign slip in the image table leaves every bucket's rank plausible
+        # but breaks d*d = 0, so the composite is checked entry by entry
+        cusp, _ = rings(char)
+        fld = cusp.field
+        images = hh._dga_images(cusp)
+        entries = 0
+        for n in range(8):
+            for s in range(-12, 1):
+                d_in, src_dim = hh._dga_matrix(cusp, images, n, s)
+                d_out, _ = hh._dga_matrix(cusp, images, n + 1, s)
+                for row in d_out:
+                    for k in range(src_dim):
+                        entry = fld.zero()
+                        for a, row_in in zip(row, d_in):
+                            entry = fld.add(entry, fld.mul(a, row_in[k]))
+                        assert not entry, (n, s)
+                        entries += 1
+        assert entries == 270
+
+
 class TestLowDegreeRows:
     # below the comparison window the dga still computes honest values:
     # degree 0 is the constants, degree 1 the nonpositively graded syzygy

@@ -134,6 +134,19 @@ def test_off_grid_points_have_their_own_entries(cold_tables):
     assert len(fukaya._FLOER_TABLE) == 2
 
 
+def test_int_and_fraction_points_share_one_entry(monkeypatch, cold_tables):
+    # a point is read through its numerator and denominator: an int and the
+    # equal Fraction give equal triangles, the second from the first's entry
+    ints = fukaya.enumerate_triangles(2, 1, 3, -2, 8)
+    with monkeypatch.context() as patch:
+        _forbid(patch, (lattice, "count_perturbed"))
+        fractions = fukaya.enumerate_triangles(2, Fraction(1), 3, Fraction(-2), 8)
+        mixed = fukaya.enumerate_triangles(2, 1, 3, Fraction(-2), 5)
+    assert ints and ints == fractions
+    assert mixed == [t for t in ints if t.q_exponent < 5]
+    assert len(fukaya._FLOER_TABLE) == 1
+
+
 @pytest.mark.parametrize("ring", RINGS)
 def test_ascending_orders_evaluate_each_shift_once(ring, monkeypatch, cold_tables):
     # visiting orders 1..12 in turn extends each entry by the new shifts only:

@@ -327,6 +327,41 @@ class TestLieLayer:
         with pytest.raises(ValueError):
             ws.adjoint_bracket(ds, ws.coeff_direction(QQ, "a4"))
 
+    @pytest.mark.parametrize("fld", [QQ, GF(2), GF(3), GF(5)], ids=repr)
+    def test_bracket_is_the_matrix_commutator(self, fld):
+        # oracle: xi acts on the group's defining shape as the matrix
+        # [[3du, ds, dt], [0, 2du, dr], [0, 0, 0]], and [xi, eta] is the
+        # commutator, decomposed back onto (ds, dr, dt, du)
+        rng = random.Random(41 + fld.characteristic)
+
+        def element():
+            coords = [Fraction(rng.randint(-20, 20), rng.randint(1, 6)) if fld is QQ
+                      else rng.randint(-20, 20) for _ in range(4)]
+            return ws.LieElement.of(fld, *coords)
+
+        def matrix(xi):
+            z = fld.zero()
+            return [[fld.mul(fld.coerce(3), xi.du), xi.ds, xi.dt],
+                    [z, fld.mul(fld.coerce(2), xi.du), xi.dr], [z, z, z]]
+
+        def commutator(xi, eta):
+            a, b = matrix(xi), matrix(eta)
+            c = [[fld.sub(sum(a[i][k] * b[k][j] for k in range(3)),
+                          sum(b[i][k] * a[k][j] for k in range(3))) for j in range(3)]
+                 for i in range(3)]
+            return [c[0][1], c[1][2], c[0][2], fld.zero()]
+
+        for _ in range(40):
+            x, y, z = element(), element(), element()
+            xy = ws.lie_bracket(x, y)
+            assert xy.as_vector() == commutator(x, y)
+            assert ws.lie_bracket(y, x).as_vector() == [fld.neg(v) for v in xy.as_vector()]
+            jacobi = [ws.lie_bracket(x, ws.lie_bracket(y, z)),
+                      ws.lie_bracket(y, ws.lie_bracket(z, x)),
+                      ws.lie_bracket(z, xy)]
+            assert [fld.coerce(sum(c)) for c in zip(*(e.as_vector() for e in jacobi))] \
+                == [fld.zero()] * 4
+
     def test_matrix_brackets(self):
         ds = ws.LieElement.of(QQ, ds=1)
         dr = ws.LieElement.of(QQ, dr=1)
