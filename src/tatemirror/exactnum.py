@@ -4,6 +4,9 @@
 series of order 1.  Everything here is exact: integers are arbitrary
 precision, rationals are ``fractions.Fraction``, prime-field elements are
 reduced residues.  No floats appear anywhere in the package.
+
+Every series that ``QSeries`` arithmetic returns is built by ``_series``,
+which stores the three slots without the frozen dataclass's ``__init__``.
 """
 
 from __future__ import annotations
@@ -146,7 +149,10 @@ class QSeries:
 
     ``coeffs`` is a tuple of exactly ``order`` raw coefficients c0..c_{K-1};
     all operations truncate at q^order.  Mismatched rings or orders are hard
-    errors, never silent re-truncation.
+    errors, never silent re-truncation.  ``make`` coerces and pads; the
+    dataclass ``__init__`` validates nothing (there is no ``__post_init__``),
+    so arithmetic, whose results are reduced tuples of length ``order``
+    already, builds them with ``_series`` and skips no check.
     """
 
     ring: Ring
@@ -197,8 +203,8 @@ class QSeries:
         negatives of representatives, reduced once over GF(p)."""
         if self.ring.kind == "GF":
             p = self.ring.p
-            return QSeries(self.ring, self.order, tuple(c % p for c in coeffs))
-        return QSeries(self.ring, self.order, tuple(coeffs))
+            return _series(self.ring, self.order, tuple(c % p for c in coeffs))
+        return _series(self.ring, self.order, tuple(coeffs))
 
     def __add__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
@@ -224,8 +230,7 @@ class QSeries:
         if isinstance(other, int) and not isinstance(other, bool):
             c = self.ring.coerce(other)
             mul = self.ring.mul
-            return QSeries(self.ring, self.order,
-                           tuple(mul(a, c) for a in self.coeffs))
+            return _series(self.ring, self.order, tuple(mul(a, c) for a in self.coeffs))
         self._check(other)
         k = self.order
         a, b = self.coeffs, other.coeffs
@@ -238,7 +243,7 @@ class QSeries:
                     out[i + j] += ai * b[j]
         if self.ring.kind == "GF":  # residues accumulate as integers, reduced once
             out = [c % self.ring.p for c in out]
-        return QSeries(self.ring, self.order, tuple(out))
+        return _series(self.ring, self.order, tuple(out))
 
     __rmul__ = __mul__
 
@@ -250,7 +255,7 @@ class QSeries:
             return self
         z = self.ring.zero()
         coeffs = (z,) * min(m, self.order) + self.coeffs[: max(self.order - m, 0)]
-        return QSeries(self.ring, self.order, coeffs)
+        return _series(self.ring, self.order, coeffs)
 
     def invert(self) -> "QSeries":
         """Multiplicative inverse mod q^order; the constant term must be a unit."""
@@ -262,7 +267,7 @@ class QSeries:
         out = [inv0]
         for n in range(1, self.order):  # c[1]*out[n-1] + ... + c[n]*out[0]
             out.append(ring.coerce(-inv0 * sum(map(operator.mul, c[n:0:-1], out))))
-        return QSeries(self.ring, self.order, tuple(out))
+        return _series(self.ring, self.order, tuple(out))
 
     def exact_div(self, d: int) -> "QSeries":
         """Divide every coefficient by the integer d, exactly."""
@@ -272,10 +277,10 @@ class QSeries:
             for c in self.coeffs:
                 if c % d:
                     raise NonUnitError(f"coefficient {c} is not divisible by {d}")
-            return QSeries(self.ring, self.order, tuple(c // d for c in self.coeffs))
+            return _series(self.ring, self.order, tuple(c // d for c in self.coeffs))
         dinv = self.ring.invert(self.ring.coerce(d))
         mul = self.ring.mul
-        return QSeries(self.ring, self.order, tuple(mul(c, dinv) for c in self.coeffs))
+        return _series(self.ring, self.order, tuple(mul(c, dinv) for c in self.coeffs))
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -287,7 +292,7 @@ class QSeries:
     def truncate(self, order: int) -> "QSeries":
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return QSeries(self.ring, order, self.coeffs[:order])
+        return _series(self.ring, order, self.coeffs[:order])
 
     def to_ring(self, ring: Ring) -> "QSeries":
         """Re-tag coefficients into another ring (reducing or lifting exactly)."""
@@ -306,6 +311,26 @@ class QSeries:
                 terms.append(f"{c}*q^{i}")
         body = " + ".join(terms) if terms else "0"
         return f"({body} + O(q^{self.order}))"
+
+
+_new_series = functools.partial(object.__new__, QSeries)
+_set_ring, _set_order, _set_coeffs = (
+    QSeries.ring.__set__, QSeries.order.__set__, QSeries.coeffs.__set__)
+
+
+def _series(ring: Ring, order: int, coeffs: tuple) -> QSeries:
+    """The series ``QSeries(ring, order, coeffs)``, its slots stored directly.
+
+    The frozen dataclass ``__init__`` assigns each field through
+    ``object.__setattr__``; the slot descriptors do the same stores at a
+    fraction of the cost.  ``coeffs`` must be a tuple of exactly ``order``
+    raw coefficients of ``ring``, reduced, as every caller already builds.
+    """
+    s = _new_series()
+    _set_ring(s, ring)
+    _set_order(s, order)
+    _set_coeffs(s, coeffs)
+    return s
 
 
 def divisor_power_sum(k: int, n: int) -> int:

@@ -3,10 +3,11 @@
 Degree-n generators are indexed by (1/n)Z mod Z, matching the intersections
 of the horizontal line with a line of slope -n.  Products are sums over
 immersed triangles: one per integer shift j, weighted by q to the number of
-perturbed lattice points inside the planar lift.  Every sign is +1: the sign
-is the parity of boundary stars, which is always even, so the products never
-count stars; ``star_count`` derives them from a triangle's Fraction vertices
-for the parity check only.  Elements share the section ring's slot-row type
+perturbed lattice points inside the planar lift; a triangle is a light
+``NamedTuple`` record.  Every sign is +1: the sign is the parity of boundary
+stars, which is always even, so the products never count stars;
+``star_count`` derives them from a triangle's Fraction vertices for the
+parity check only.  Elements share the section ring's slot-row type
 (``FloerElement`` is ``theta.ThetaElement``), its (j, exponent) basis-product
 contract and its table (``theta._kept_shifts``); only the exponent differs.
 The q-exponents come from lattice counting only; the section-ring
@@ -20,6 +21,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import lattice, weierstrass
 from .errors import VerificationFailure
@@ -29,10 +31,12 @@ from .theta import ThetaElement as FloerElement
 from .theta import _kept_shifts, _slot_point, j_range, theta_mul, weighted_mean
 
 
-@dataclass(frozen=True)
-class ImmersedTriangle:
+class ImmersedTriangle(NamedTuple):
     """One product contribution: the triangle of p1 (degree n1) and p2j = p2 + j
-    (degree n2); its Fraction vertices, stars and sign are derived on demand."""
+    (degree n2); its Fraction vertices, stars and sign are derived on demand.
+
+    A light immutable record: being a tuple, a triangle also equals (and
+    hashes like) the plain tuple (n1, p1, n2, p2, j, q_exponent)."""
 
     n1: int
     p1: Fraction

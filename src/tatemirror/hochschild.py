@@ -19,6 +19,7 @@ graded ranks of the cusp's resolution dga, its differential one image table.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from . import _linalg
@@ -270,11 +271,16 @@ def omega_pairing(ring: PlaneCurveRing, generators):
 
 @dataclass(frozen=True)
 class GradedRankTable:
-    """Ranks indexed by (cohomological degree n, internal degree s)."""
+    """Ranks indexed by (cohomological degree n, internal degree s).
+
+    ``square_defects`` counts the nonzero entries of d(n, s)*d(n-1, s) over
+    the window: 0 exactly when the differential squares to zero there.
+    """
 
     n_max: int
     s_min: int
     ranks: dict  # (n, s) -> positive rank; zeros inside the window are absent
+    square_defects: int = 0
 
     def rank(self, n: int, s: int) -> int:
         if not (0 <= n <= self.n_max and self.s_min <= s <= 0):
@@ -342,26 +348,34 @@ def _dga_matrix(ring: PlaneCurveRing, images: dict, n: int, s: int):
 def cusp_graded_ranks(ring: PlaneCurveRing, n_max: int, s_min: int) -> GradedRankTable:
     """Cohomology ranks of the resolution dga of the cusp, per bidegree.
 
-    Only the cusp carries an internal grading; node input is rejected.
+    Each d(n, s) is multiplied by the d(n-1, s) carried from the row before,
+    and the table counts the nonzero entries of these composites as its
+    ``square_defects``.  Only the cusp carries an internal grading; node
+    input is rejected.
     """
     if not ring.is_cusp:
         raise ValueError("graded ranks are only defined for the cusp")
     if n_max < 0 or s_min > 0:
         raise ValueError("empty window")
+    field = ring.field
     images = _dga_images(ring)
     ranks = {}
-    rank_in = {}  # s -> rank of the differential into row n, carried from row n - 1
+    # s -> the differential into row n and its rank, carried from row n - 1
+    d_in, rank_in = {}, {}
+    defects = 0
     for n in range(n_max + 1):
         for s in range(s_min, 1):
             d_out, src_dim = _dga_matrix(ring, images, n, s)
-            rank_out = _linalg.rank(d_out, ring.field)
+            rank_out = _linalg.rank(d_out, field)
             h = src_dim - rank_out - rank_in.get(s, 0)
-            rank_in[s] = rank_out
+            defects += sum(1 for row in d_out for col in zip(*d_in.get(s, ()))
+                           if field.coerce(sum(map(operator.mul, row, col))))
+            d_in[s], rank_in[s] = d_out, rank_out
             if h < 0:
                 raise VerificationFailure(f"negative rank at bucket ({n}, {s})")
             if h:
                 ranks[(n, s)] = h
-    return GradedRankTable(n_max, s_min, ranks)
+    return GradedRankTable(n_max, s_min, ranks, defects)
 
 
 def predicted_cusp_table(char: int, n_max: int, s_min: int) -> GradedRankTable:

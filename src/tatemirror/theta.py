@@ -9,7 +9,8 @@ computes; here the exponent is the piecewise-linear excess ``lambda_exp``.
 the Fraction formulas (``phi``, ``psi``, ``weighted_mean``, ``area``,
 ``lambda_exp_reference``) are their oracles and share no code with them.
 ``_kept_shifts`` tables each slot pair's terms for both rings, so ``theta_mul``
-evaluates ``lambda_exp`` once per slot pair and shift.
+evaluates ``lambda_exp`` once per slot pair and shift.  ``bilinear`` stores the
+first term to reach a slot as it is and adds only the terms after it.
 """
 
 from __future__ import annotations
@@ -197,12 +198,15 @@ class ThetaElement:
         numerators m1 (of m1/n1) and m2 (of m2/n2); exponents are below the
         truncation order and every term has sign +1.  The term lands on the
         slot of the weighted mean of m1/n1 and m2/n2 + j, whose numerator
-        over n1 + n2 is m1 + m2 + n2*j.
+        over n1 + n2 is m1 + m2 + n2*j.  The first term to reach a slot is
+        stored as it is (0 + t = t); a slot that no longer holds the shared
+        zero, even one whose sum has cancelled to zero, is added to.
         """
         self._check(other, same_degree=False)
         n1, n2, order = self.degree, other.degree, self.order
         n3 = n1 + n2
-        out = [QSeries.zero(self.ring, order)] * n3
+        zero = QSeries.zero(self.ring, order)
+        out = [zero] * n3
         for m1, c1 in enumerate(self.rows):
             if c1.is_zero():
                 continue
@@ -212,7 +216,9 @@ class ThetaElement:
                 c12 = c1 * c2
                 for j, exponent in terms(n1, m1, n2, m2, order):
                     target = (m1 + m2 + n2 * j) % n3
-                    out[target] = out[target] + c12.shift(exponent)
+                    term = c12.shift(exponent)
+                    held = out[target]
+                    out[target] = term if held is zero else held + term
         return ThetaElement(n3, order, out)
 
 

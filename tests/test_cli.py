@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import json
+import pathlib
 import types
 
 import pytest
@@ -109,6 +110,18 @@ class TestReports:
             ("lattice", 1), ("theta", 2), ("dehn", 3), ("mirror", 4),
             *[("hochschild", 5)] * 4, *[("lie", 6)] * 3]
 
+    # the report of `tatemirror all` at its defaults, every duration_seconds
+    # removed; after a deliberate change to a report, rewrite it with
+    #   PYTHONPATH=src python3 -m tatemirror.cli all | python3 -c 'import json, sys;
+    #   d = json.load(sys.stdin); [s.pop("duration_seconds") for s in d["suites"]];
+    #   print(json.dumps(d, indent=2, sort_keys=True))' > tests/golden_all_report.json
+    GOLDEN = pathlib.Path(__file__).with_name("golden_all_report.json")
+
+    def test_all_matches_the_golden_report(self, capsys):
+        code, doc = run(["all"], capsys)
+        assert code == 0
+        assert strip_durations(doc) == json.loads(self.GOLDEN.read_text())
+
     def test_out_file(self, tmp_path, capsys):
         path = tmp_path / "report.json"
         code = cli.main(["--out", str(path), "dehn-table"])
@@ -178,6 +191,22 @@ class TestLieSuites:
         report = cli.run_lie_suite(3)
         assert self.check(report, "degree-one-bracket-table").status == "fail"
 
+    def test_negated_bracket_fails_the_degree_one_table(self, monkeypatch):
+        # the negated table still matches up to a global sign, but not at the
+        # recorded one
+        original = weierstrass.lie_bracket
+
+        def negated(xi, eta):
+            br = original(xi, eta)
+            return weierstrass.LieElement(xi.ring, *(xi.ring.neg(v) for v in br.as_vector()))
+
+        monkeypatch.setattr(weierstrass, "lie_bracket", negated)
+        report = cli.run_lie_suite(3)
+        check = self.check(report, "degree-one-bracket-table")
+        assert (check.status, check.expected, check.actual) == (
+            "fail", "global sign -1", "global sign 1")
+        assert self.check(report, "adjoint-table").status == "pass"
+
     def test_adjoint_component_outside_labels_is_a_failed_check(self, monkeypatch):
         original = weierstrass.adjoint_bracket
 
@@ -198,6 +227,26 @@ class TestLieSuites:
         for char in (0, 2, 3, 5, 7):
             assert cli.run_lie_suite(char).passed
         assert len(calls) == 10
+
+
+class TestDgaComplexCheck:
+    def test_flipped_image_sign_fails_the_check_and_exits_1(self, capsys, monkeypatch):
+        # the ranks stay plausible with this sign slip; only d*d sees it
+        original = hochschild._dga_images
+
+        def flipped(ring):
+            images = dict(original(ring))
+            images["xy"] = (images["xy"][0], ("x*", ring.f_y()))
+            return images
+
+        monkeypatch.setattr(hochschild, "_dga_images", flipped)
+        code, doc = run(["hochschild", "--char", "0"], capsys)
+        assert code == 1
+        assert [c["id"] for c in doc["checks"] if c["status"] != "pass"] == [
+            "dga-is-a-complex"]
+        check = doc["checks"][-1]
+        assert check["id"] == "dga-is-a-complex" and check["expected"] == "0"
+        assert int(check["actual"]) > 0
 
 
 def unstable_koszul(ring, bound=10):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -228,6 +229,56 @@ def test_products_commute_and_inverses_invert_over_every_ring(data):
     assert a * b == b * a == product
     x = data.draw(ring_series(ring, order, unit=True))
     assert x.invert() * x == x * x.invert() == QSeries.one(ring, order)
+
+
+def _oracle_inverse(coeffs):
+    """The inverse of a series with unit constant term over Q, by long division."""
+    out = []
+    for n in range(len(coeffs)):
+        rest = sum(Fraction(coeffs[i]) * out[n - i] for i in range(1, n + 1))
+        out.append((int(n == 0) - rest) / Fraction(coeffs[0]))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_arithmetic_results_equal_their_made_series(data):
+    # every result that arithmetic builds with _series must be the series that
+    # make builds from the oracle coefficients: equal, hashing alike, with the
+    # same coefficient types, and frozen
+    ring = data.draw(st.sampled_from(SERIES_RINGS))
+    order = data.draw(st.integers(1, 8))
+    a, b = data.draw(ring_series(ring, order)), data.draw(ring_series(ring, order))
+    u = data.draw(ring_series(ring, order, unit=True))
+    c = data.draw(short_ints)
+    m = data.draw(st.integers(0, order + 1))
+    k = data.draw(st.integers(1, order))
+    d = data.draw(st.integers(-9, 9).filter(lambda d: d and ring.coerce(d)))
+    x, y = a.coeffs, b.coeffs
+    raw = (lambda v: Fraction(v)) if ring is QQ else (lambda v: v)
+    cases = [
+        (a + b, order, [raw(p) + raw(q) for p, q in zip(x, y)]),
+        (a - b, order, [raw(p) - raw(q) for p, q in zip(x, y)]),
+        (-a, order, [-raw(p) for p in x]),
+        (a * b, order, [sum(raw(x[i]) * raw(y[n - i]) for i in range(n + 1))
+                        for n in range(order)]),
+        (a * c, order, [raw(p) * c for p in x]),
+        (c * a, order, [raw(p) * c for p in x]),
+        (a.shift(m), order, ([0] * m + list(x))[:order]),
+        (a.truncate(k), k, list(x[:k])),
+        (u.invert(), order, _oracle_inverse(u.coeffs)),
+        ((a * d).exact_div(d), order, list(x)),
+        (a.exact_div(d) if ring.is_field else a * d, order,
+         [Fraction(p) / d if ring.is_field else p * d for p in x]),
+    ]
+    for got, got_order, coeffs in cases:
+        want = QSeries.make(ring, got_order, coeffs)
+        assert got == want and hash(got) == hash(want)
+        assert type(got.coeffs) is tuple
+        assert [type(v) for v in got.coeffs] == [type(v) for v in want.coeffs]
+        for name in ("ring", "order", "coeffs"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(got, name, getattr(want, name))
 
 
 class TestDivisorPowerSum:

@@ -37,6 +37,25 @@ class TestEnumerateTriangles:
         assert v2 == (Fraction(1), Fraction(0))
 
 
+class TestTriangleRecord:
+    def test_fields_properties_and_immutability(self):
+        tri = fukaya.ImmersedTriangle(2, Fraction(1, 2), 3, Fraction(2, 3), -1, 4)
+        assert tri._fields == ("n1", "p1", "n2", "p2", "j", "q_exponent")
+        assert (tri.n1, tri.p1, tri.n2, tri.p2, tri.j, tri.q_exponent) == (
+            2, Fraction(1, 2), 3, Fraction(2, 3), -1, 4)
+        assert tri == fukaya.ImmersedTriangle(
+            n1=2, p1=Fraction(1, 2), n2=3, p2=Fraction(2, 3), j=-1, q_exponent=4)
+        assert tri.p2j == Fraction(-1, 3)
+        assert tri.vertices == ((Fraction(1, 2), 0), (Fraction(-1, 3), Fraction(5, 3)),
+                                (Fraction(0), 0))
+        assert tri.sign == (-1) ** fukaya.star_count(tri) == 1
+        # a light record: a triangle is the tuple of its fields
+        assert tri == (2, Fraction(1, 2), 3, Fraction(2, 3), -1, 4)
+        assert hash(tri) == hash((2, Fraction(1, 2), 3, Fraction(2, 3), -1, 4))
+        with pytest.raises(AttributeError):
+            tri.j = 0
+
+
 class TestStarCount:
     def test_degenerate_triangle_has_no_stars(self):
         tri, = [t for t in fukaya.enumerate_triangles(1, 0, 1, 0, 1) if t.j == 0]

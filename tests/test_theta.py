@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tatemirror import theta
 from tatemirror.errors import RingMismatchError
-from tatemirror.exactnum import QQ, ZZ, QSeries
+from tatemirror.exactnum import GF, QQ, ZZ, QSeries
 from tatemirror.lattice import PerturbedTriangle
 
 
@@ -240,6 +240,64 @@ class TestBilinearContract:
                 lambda *args: [(j, 0)])
             mean = theta.weighted_mean(n1, Fraction(m1, n1), n2, Fraction(m2, n2) + j)
             assert prod == theta.ThetaElement.basis(n1 + n2, mean, 2), (n1, m1, n2, m2, j)
+
+
+def bilinear_oracle(x, y, terms):
+    """The bilinear product the slow way: every slot starts at its own zero
+    series and every term is added to it with +."""
+    n1, n2, order = x.degree, y.degree, x.order
+    n3 = n1 + n2
+    out = [QSeries.make(x.ring, order) for _ in range(n3)]
+    for m1, c1 in enumerate(x.rows):
+        for m2, c2 in enumerate(y.rows):
+            for j, exponent in terms(n1, m1, n2, m2, order):
+                target = (m1 + m2 + n2 * j) % n3
+                out[target] = out[target] + (c1 * c2).shift(exponent)
+    return theta.ThetaElement(n3, order, out)
+
+
+class TestBilinearAgainstOracle:
+    def test_one_term_several_terms_and_a_slot_that_cancels(self):
+        # over GF(2), x = e[0/1] and y = e[0/2] + e[1/2]; a term of the slot pair
+        # (0, m2) lands on slot (m2 + 2j) % 3.  Slot 0 takes one term, slot 1
+        # two, and slot 2 takes q^3 twice, which cancels to zero, before q arrives
+        ring = GF(2)
+        x = theta.ThetaElement.basis(1, 0, 4, ring)
+        y = theta.ThetaElement.basis(2, 0, 4, ring) + theta.ThetaElement.basis(
+            2, Fraction(1, 2), 4, ring)
+        table = {(0, 0): [(0, 0), (2, 1), (1, 3), (1, 3)],  # slots 0, 1, 2, 2
+                 (0, 1): [(0, 2), (2, 1)]}                  # slots 1, 2
+
+        def terms(n1, m1, n2, m2, order):
+            return table[(m1, m2)]
+
+        got = x.bilinear(y, terms)
+        assert got == bilinear_oracle(x, y, terms)
+        assert [list(r.coeffs) for r in got.rows] == [
+            [1, 0, 0, 0], [0, 1, 1, 0], [0, 1, 0, 0]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_terms_over_every_ring(self, data):
+        ring = data.draw(st.sampled_from((ZZ, QQ, GF(2), GF(3), GF(7))))
+        order = data.draw(st.integers(1, 5))
+        n1, n2 = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        coeff = st.integers(-3, 3)
+
+        def element(n):
+            return theta.ThetaElement(n, order, [QSeries.make(
+                ring, order, data.draw(st.lists(coeff, min_size=order, max_size=order)))
+                for _ in range(n)])
+
+        x, y = element(n1), element(n2)
+        term = st.tuples(st.integers(-3, 3), st.integers(0, order - 1))
+        table = {(m1, m2): data.draw(st.lists(term, max_size=6))
+                 for m1 in range(n1) for m2 in range(n2)}
+
+        def terms(n1, m1, n2, m2, order):
+            return table[(m1, m2)]
+
+        assert x.bilinear(y, terms) == bilinear_oracle(x, y, terms)
 
 
 class TestThetaMul:

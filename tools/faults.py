@@ -79,6 +79,12 @@ FAULTS = [
      "zip(reparam_compose(g, h).as_tuple(), reparam_compose(h, g).as_tuple())"),
     ("sign of the x* image of x*y* flipped in the dga table", "hochschild.py",
      "(\"x*\", ring.scale(fy, -1))", "(\"x*\", fy)"),
+    ("first-term test dropped in bilinear, so a term overwrites its slot", "theta.py",
+     "out[target] = term if held is zero else held + term", "out[target] = term"),
+    ("shift truncates one coefficient late through _series", "exactnum.py",
+     "self.coeffs[: max(self.order - m, 0)]", "self.coeffs[: max(self.order - m + 1, 0)]"),
+    ("j and q_exponent swapped in ImmersedTriangle", "fukaya.py",
+     "    j: int\n    q_exponent: int\n", "    q_exponent: int\n    j: int\n"),
 ]
 
 
