@@ -101,9 +101,6 @@ class Ring:
     def sub(self, a, b):
         return (a - b) % self.p if self.kind == "GF" else a - b
 
-    def neg(self, a):
-        return (-a) % self.p if self.kind == "GF" else -a
-
     def mul(self, a, b):
         return (a * b) % self.p if self.kind == "GF" else a * b
 
@@ -169,10 +166,6 @@ class QSeries:
         raw.extend(ring.zero() for _ in range(order - len(raw)))
         return QSeries(ring, order, tuple(raw))
 
-    @staticmethod
-    def const(ring: Ring, order: int, c) -> "QSeries":
-        return QSeries.make(ring, order, [c])
-
     # a series is immutable, so zero and one are built once per (ring, order)
     @staticmethod
     @functools.cache
@@ -183,11 +176,6 @@ class QSeries:
     @functools.cache
     def one(ring: Ring, order: int) -> "QSeries":
         return QSeries.make(ring, order, [1])
-
-    @staticmethod
-    def gen(ring: Ring, order: int) -> "QSeries":
-        """The series q (requires order >= 2 to be visible)."""
-        return QSeries.make(ring, order, [0, 1])
 
     def _check(self, other: "QSeries"):
         if not isinstance(other, QSeries):
@@ -208,20 +196,15 @@ class QSeries:
 
     def __add__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
-            other = QSeries.const(self.ring, self.order, other)
+            other = QSeries.make(self.ring, self.order, [other])
         self._check(other)
         return self._termwise(map(operator.add, self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, int) and not isinstance(other, bool):
-            other = QSeries.const(self.ring, self.order, other)
         self._check(other)
         return self._termwise(map(operator.sub, self.coeffs, other.coeffs))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __neg__(self):
         return self._termwise(map(operator.neg, self.coeffs))

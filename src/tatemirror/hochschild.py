@@ -67,9 +67,6 @@ class PlaneCurveRing:
                 out[tuple(mono)] = raw
         return out
 
-    def f_polynomial(self) -> dict:
-        return self.poly({(0, 2): 1, (1, 1): self.c, (3, 0): -1})
-
     def f_x(self) -> dict:
         return self.poly({(0, 1): self.c, (2, 0): -3})
 
@@ -289,9 +286,6 @@ class GradedRankTable:
 
     def row(self, n: int) -> dict:
         return {s: r for (m, s), r in sorted(self.ranks.items()) if m == n}
-
-    def restrict(self, n_lo: int) -> dict:
-        return {k: v for k, v in self.ranks.items() if k[0] >= n_lo}
 
 
 def _weight_monomial(w: int):

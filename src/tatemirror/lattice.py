@@ -44,9 +44,6 @@ class EpsRational:
         other = _as_eps(other)
         return EpsRational(self.value - other.value, self.eps - other.eps)
 
-    def __rsub__(self, other):
-        return _as_eps(other) - self
-
     def __neg__(self):
         return EpsRational(-self.value, -self.eps)
 

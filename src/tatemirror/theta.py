@@ -171,15 +171,9 @@ class ThetaElement:
         return ThetaElement(self.degree, self.order,
                             [a - b for a, b in zip(self.rows, other.rows)])
 
-    def __neg__(self):
-        return ThetaElement(self.degree, self.order, [-c for c in self.rows])
-
     def scale(self, factor) -> "ThetaElement":
         """Multiply every slot by an integer or a q-series."""
         return ThetaElement(self.degree, self.order, [c * factor for c in self.rows])
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.rows)
 
     def q0_map(self) -> dict:
         """Slot index m -> constant coefficient, omitting zeros."""

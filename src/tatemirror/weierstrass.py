@@ -61,10 +61,6 @@ class WeierstrassCoeffs:
         return WeierstrassCoeffs(
             *(QSeries.make(ring, order, c) for c in coeff_lists))
 
-    def specialize_q0(self) -> "WeierstrassCoeffs":
-        """The q = 0 fiber: the order-1 truncation, a curve over the ring itself."""
-        return self.truncate(1)
-
     def to_ring(self, ring: Ring) -> "WeierstrassCoeffs":
         """Reduce or lift the coefficients into another ring."""
         return WeierstrassCoeffs(*(v.to_ring(ring) for v in self.as_tuple()))
@@ -166,6 +162,7 @@ def classify_fiber(w: WeierstrassCoeffs) -> Fiber:
 def singular_points_mod_p(w: WeierstrassCoeffs):
     """All singular points of the affine curve over F_p, with the nodal test.
 
+    The point-scan oracle that tests hold ``classify_fiber`` against.
     Reads the constant terms, so a series curve is scanned at q = 0.
     Returns a list of ((x0, y0), hessian_nonzero) pairs, scanning all of
     F_p^2; the hessian condition is a1^2 + 2*(6*x0 + 2*a2) != 0.
@@ -222,27 +219,24 @@ def tate_curve(order: int) -> WeierstrassCoeffs:
 
 # -- normalization to Tate form ---------------------------------------------
 
-def _hensel_normalizer(w: WeierstrassCoeffs, u0_order):
-    """Order-by-order integral solve of a1'=1, a2'=0, a3'=0."""
+def _hensel_normalizer(w: WeierstrassCoeffs):
+    """Order-by-order integral solve of a1'=1, a2'=0, a3'=0.
+
+    u(0) takes the sign of the odd a1(0); the other sign fails exactly when
+    this one does, since s0*(s0 + a1(0)) = (1 - a1(0)^2)/4 for either, so
+    r(0), t(0) and both divisibility tests are the same.
+    """
     order = w.a1.order
     a1, a2, a3 = (list(v.coeffs) for v in (w.a1, w.a2, w.a3))
     a10 = a1[0]
-
-    found = None
-    for u0 in u0_order:
-        s0 = (u0 - a10) // 2
-        num = s0 * s0 + s0 * a10 - a2[0]
-        if num % 3:
-            continue
-        r0 = num // 3
-        tnum = -(a3[0] + r0 * a10)
-        if tnum % 2:
-            continue
-        found = (u0, s0, r0, tnum // 2)
-        break
-    if found is None:
+    u0 = 1 if a10 > 0 else -1
+    s0 = (u0 - a10) // 2
+    num = s0 * s0 + s0 * a10 - a2[0]
+    r0 = num // 3
+    tnum = -(a3[0] + r0 * a10)
+    if num % 3 or tnum % 2:
         raise NormalizationFailure(0)
-    u0, s0, r0, t0 = found
+    t0 = tnum // 2
 
     s = [s0] + [0] * (order - 1)
     r = [r0] + [0] * (order - 1)
@@ -273,18 +267,18 @@ def tate_normalize(w: WeierstrassCoeffs):
     Requires a q-series curve over Z whose q = 0 fiber is a node with odd a1.
     Returns (g, w') with w' = reparam_apply(g, w), a1' = 1 and a2' = a3' = 0
     exactly mod q^K, lifted order by order from its q = 0 term; u(0) takes the
-    sign of a1 at q = 0 when that term is integral, and the other sign if not.
+    sign of a1 at q = 0.
     """
     if w.ring is not ZZ:
         raise ValueError("normalization expects q-series coefficients over Z")
     a10 = w.a1.coeffs[0]
     if a10 % 2 == 0:
         raise NormalizationFailure(0, "a1 is even at q=0")
-    fiber = classify_fiber(w.specialize_q0().to_ring(QQ))
+    fiber = classify_fiber(w.truncate(1).to_ring(QQ))
     if fiber is not Fiber.NODE:
         raise NormalizationFailure(0, f"q=0 fiber is {fiber.value}, not a node")
 
-    g = _hensel_normalizer(w, (1, -1) if a10 > 0 else (-1, 1))
+    g = _hensel_normalizer(w)
     out = reparam_apply(g, w)
     one = QSeries.one(ZZ, w.a1.order)
     zero = QSeries.zero(ZZ, w.a1.order)
@@ -364,11 +358,6 @@ class LieElement:
         return [self.ds, self.dr, self.dt, self.du]
 
 
-def lie_basis(ring: Ring):
-    """(ds, dr, dt, du) as LieElements over the field."""
-    return tuple(LieElement.of(ring, **{name: 1}) for name in LIE_NAMES)
-
-
 def _group_element(xi: LieElement, order: int) -> Reparam:
     """The element (1 + q*du, q*ds, q*dr, q*dt) of G over series of the given order."""
     return Reparam.from_series(xi.ring, order,
@@ -410,7 +399,8 @@ def lie_d_matrix(ring: Ring):
     (ds, dr, dt, du).  Returns (matrix, coker_rank, ker_rank).
     """
     origin = [0, 0, 0, 0, 0]
-    cols = [lie_vector_field(xi, origin) for xi in lie_basis(ring)]
+    cols = [lie_vector_field(LieElement.of(ring, **{name: 1}), origin)
+            for name in LIE_NAMES]
     matrix = _linalg.transpose(cols)
     rk = _linalg.rank(matrix, ring)
     return matrix, 5 - rk, 4 - rk

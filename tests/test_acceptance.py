@@ -92,7 +92,7 @@ def test_criterion_5_tate_integrality_and_nodal_fibers():
         assert num % 12 == 0
         assert a6.coeffs[n] == -num // 12
     primes = [p for p in range(2, 51) if all(p % d for d in range(2, p))]
-    q0 = weierstrass.tate_curve(2).specialize_q0()
+    q0 = weierstrass.tate_curve(2).truncate(1)
     for p in primes:
         fiber = q0.to_ring(GF(p))
         assert weierstrass.classify_fiber(fiber) is weierstrass.Fiber.NODE
@@ -111,7 +111,8 @@ def test_criterion_6_hochschild_tables():
 
         got = hochschild.cusp_graded_ranks(cusp, 8, -12)
         want = hochschild.predicted_cusp_table(char, 8, -12)
-        assert got.restrict(2) == want.restrict(2), f"char {char}"
+        assert [got.row(n) for n in range(2, 9)] == [want.row(n) for n in range(2, 9)], \
+            f"char {char}"
 
         tdim, _ = hochschild.tjurina_dim(cusp)
         assert tdim == expected_tjurina[char]

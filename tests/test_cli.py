@@ -158,6 +158,34 @@ class TestReports:
         assert [c["id"] for c in doc["checks"] if c["status"] != "pass"] == [
             "zeta1^3 = theta3", "y'^2 + x'^3 = x'*y'*z'"]
 
+    def test_lattice_mismatches_are_listed(self, monkeypatch):
+        import tatemirror.lattice as lattice
+
+        row_count = lattice.row_formula_count
+        monkeypatch.setattr(lattice, "row_formula_count", lambda *a: row_count(*a) + 1)
+        counts, shifts = cli.run_lattice_suite(2).checks
+        assert (counts.id, counts.status, shifts.status) == ("counts-1-1", "fail", "pass")
+        assert counts.expected == "3-way agreement on 15 triangles"
+        # (p1, p2 + j, count, row, exponent) for each of the 15 shifts j
+        assert [m[:2] for m in counts.actual] == [("0", str(j)) for j in range(-7, 8)]
+        assert all(row == count + 1 and str(count) == lam
+                   for _, _, count, row, lam in counts.actual)
+
+    def test_failed_skew_pairing_is_a_record_and_the_suite_goes_on(self, capsys,
+                                                                  monkeypatch):
+        from tatemirror.errors import VerificationFailure
+
+        def broken(ring, generators):
+            raise VerificationFailure("fabricated nonzero pairing")
+
+        monkeypatch.setattr(hochschild, "omega_pairing", broken)
+        code, doc = run(["hochschild"], capsys)
+        assert code == 1
+        assert [(c["id"], c["actual"]) for c in doc["checks"] if c["status"] != "pass"] == [
+            ("cusp-skew-pairing", "fabricated nonzero pairing"),
+            ("node-skew-pairing", "fabricated nonzero pairing")]
+        assert doc["checks"][-1]["id"] == "dga-is-a-complex"
+
     def test_absent_values_are_null(self, capsys):
         code, doc = run(["verify-lattice", "--max-degree", "2"], capsys)
         assert code == 0
@@ -198,7 +226,7 @@ class TestLieSuites:
 
         def negated(xi, eta):
             br = original(xi, eta)
-            return weierstrass.LieElement(xi.ring, *(xi.ring.neg(v) for v in br.as_vector()))
+            return weierstrass.LieElement(xi.ring, *(xi.ring.coerce(-v) for v in br.as_vector()))
 
         monkeypatch.setattr(weierstrass, "lie_bracket", negated)
         report = cli.run_lie_suite(3)

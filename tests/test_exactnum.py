@@ -100,7 +100,7 @@ class TestQSeries:
     def test_truncation_kills_top(self):
         k = 5
         qtop = QSeries.make(ZZ, k, [0] * (k - 1) + [1])
-        q = QSeries.gen(ZZ, k)
+        q = QSeries.make(ZZ, k, [0, 1])
         assert (qtop * q).is_zero()
 
     def test_square_of_geometric_prefix(self):

@@ -319,7 +319,7 @@ class TestGaugeFreeMirrorInvariants:
 
     def test_discriminant_is_q_times_eta_product(self, mirror):
         one = QSeries.one(ZZ, self.order)
-        expected = QSeries.gen(ZZ, self.order)
+        expected = QSeries.make(ZZ, self.order, [0, 1])
         for n in range(1, self.order):
             factor = one - one.shift(n)
             for _ in range(24):

@@ -64,7 +64,7 @@ class TestNormalForm:
     def test_defining_polynomial_reduces_to_zero(self):
         for char in CHARS:
             for ring in rings(char):
-                assert ring.normal_form(ring.f_polynomial()) == {}
+                assert ring.normal_form(ring.poly({(0, 2): 1, (1, 1): ring.c, (3, 0): -1})) == {}
 
 
 class TestTjurina:
@@ -91,6 +91,8 @@ class TestTjurina:
         cusp, _ = rings(0)
         with pytest.raises(StabilizationError):
             hh.tjurina_dim(cusp, bound=0)
+        with pytest.raises(StabilizationError, match="moved from 0 to 1"):
+            hh.koszul_h1_dim(cusp, bound=0)
 
 
 class TestKoszulMiddle:
@@ -199,7 +201,7 @@ class TestGradedRanks:
         cusp, _ = rings(char)
         got = hh.cusp_graded_ranks(cusp, 8, -12)
         want = hh.predicted_cusp_table(char, 8, -12)
-        assert got.restrict(2) == want.restrict(2)
+        assert [got.row(n) for n in range(2, 9)] == [want.row(n) for n in range(2, 9)]
 
     def test_node_rejected(self):
         _, node = rings(0)

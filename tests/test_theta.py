@@ -356,5 +356,5 @@ class TestThetaMul:
 
     def test_scale_by_series(self):
         x = theta.ThetaElement.basis(1, 0, 4)
-        q = QSeries.gen(ZZ, 4)
+        q = QSeries.make(ZZ, 4, [0, 1])
         assert theta.theta_mul(x.scale(q), x) == theta.theta_mul(x, x).scale(q)

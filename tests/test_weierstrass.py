@@ -33,7 +33,7 @@ class TestCoeffsValidation:
 
     def test_curve_over_the_base_ring_is_the_order_one_truncation(self):
         nodal = ws.WeierstrassCoeffs.from_ints(ZZ, [1, 0, 0, 0, 0])
-        assert nodal == ws.tate_curve(1) == ws.tate_curve(6).specialize_q0()
+        assert nodal == ws.tate_curve(1) == ws.tate_curve(6).truncate(1)
         identity = ws.Reparam.identity_like(ws.tate_curve(1).a1)
         assert ws.Reparam.from_ints(ZZ, [1, 0, 0, 0]) == identity
 
@@ -233,9 +233,22 @@ class TestTateNormalize:
             ws.tate_normalize(w)
 
     def test_smooth_fiber_rejected(self):
-        w = series_curve([[0], [0], [0], [-1], [0]], 2)
-        with pytest.raises(NormalizationFailure):
+        # a1(0) is odd, so only the node check stands between this curve,
+        # y^2 + xy = x^3 + 1 with Delta = -433, and a silent normalization
+        w = series_curve([[1], [0], [0], [0], [1]], 2)
+        with pytest.raises(NormalizationFailure, match="smooth"):
             ws.tate_normalize(w)
+
+    @pytest.mark.parametrize("values", [
+        [1, 1, 0, 0, 0],   # 3 does not divide a2(0) = 1
+        [1, -1, 0, 0, 0],  # nor a2(0) = -1, though the t(0) numerator is even
+    ])
+    def test_nodal_fiber_without_integral_lift(self, values):
+        w = series_curve([[v] for v in values], 2)
+        assert ws.classify_fiber(w.truncate(1).to_ring(QQ)) is ws.Fiber.NODE
+        with pytest.raises(NormalizationFailure) as exc:
+            ws.tate_normalize(w)
+        assert exc.value.order == 0
 
 
 class TestQuarticGauge:
@@ -355,7 +368,7 @@ class TestLieLayer:
             x, y, z = element(), element(), element()
             xy = ws.lie_bracket(x, y)
             assert xy.as_vector() == commutator(x, y)
-            assert ws.lie_bracket(y, x).as_vector() == [fld.neg(v) for v in xy.as_vector()]
+            assert ws.lie_bracket(y, x).as_vector() == [fld.coerce(-v) for v in xy.as_vector()]
             jacobi = [ws.lie_bracket(x, ws.lie_bracket(y, z)),
                       ws.lie_bracket(y, ws.lie_bracket(z, x)),
                       ws.lie_bracket(z, xy)]
