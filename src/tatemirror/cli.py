@@ -2,8 +2,8 @@
 
 Each subcommand runs one verification suite and writes a single JSON
 document: one object per check with fields {id, anchor, status, expected,
-actual}, plus the suite name, parameters and wall-clock duration.  The
-process exits 0 only if every check passed.
+actual}, plus the suite name, parameters, number of checks and wall-clock
+duration.  The process exits 0 only if every check passed.
 
 Each suite is a generator of (id, anchor, ok, expected, actual) checks whose
 signature alone holds its defaults; ``_suite`` makes it a report function,
@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import fukaya, hochschild, lattice, theta, weierstrass
 from .errors import VerificationFailure
-from .exactnum import QSeries, ring_of_characteristic
+from .exactnum import ZZ, QSeries, divisor_power_sum, ring_of_characteristic
 
 
 def _ser(value):
@@ -32,10 +32,6 @@ def _ser(value):
         return None
     if isinstance(value, QSeries):
         return [_ser(c) for c in value.coeffs]
-    if isinstance(value, (int, Fraction)):
-        return str(value)
-    if isinstance(value, str):
-        return value
     if isinstance(value, dict):
         return [[_ser(k), _ser(v)] for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))]
     if isinstance(value, (list, tuple)):
@@ -69,18 +65,20 @@ class VerificationReport:
 
     def to_dict(self):
         return {"suite": self.suite, "params": self.params,
-                "passed": self.passed,
+                "passed": self.passed, "n_checks": len(self.checks),
                 "checks": [c.to_dict() for c in self.checks],
                 "duration_seconds": self.duration_seconds}
 
 
 def _suite(name: str):
     """Make a check generator into a suite returning a VerificationReport whose
-    params are the call's arguments with defaults applied.  An exception that
-    escapes the generator is one failed check, after those already yielded."""
+    params are the call's arguments with defaults applied and whose duration is
+    the call's own wall-clock time.  An exception that escapes the generator is
+    one failed check, after those already yielded."""
     def decorate(checks):
         @functools.wraps(checks)
         def suite(*args, **kwargs):
+            start = time.perf_counter()
             call = inspect.signature(checks).bind(*args, **kwargs)
             call.apply_defaults()
             report = VerificationReport(name, dict(call.arguments))
@@ -92,6 +90,7 @@ def _suite(name: str):
                 sys.excepthook(*sys.exc_info())  # the traceback, to stderr
                 report.checks.append(CheckRecord(
                     name, "suite-completes", "fail", actual=f"{type(e).__name__}: {e}"))
+            report.duration_seconds = round(time.perf_counter() - start, 3)
             return report
         return suite
     return decorate
@@ -173,6 +172,14 @@ def run_mirror_suite(order: int = 8, emit_relation: bool = False):
     for name in ("a1", "a2", "a3", "a4", "a6"):
         got, want = getattr(res.curve, name), getattr(tate, name)
         yield f"coefficient-{name}", "mirror-equals-tate", got == want, want, got
+    # j(raw) = j(Tate), cross-multiplied: c4(raw)^3 * Delta_Tate = E4^3 * Delta(raw),
+    # where c4 = E4 and Delta = (E4^3 - E6^2) / 1728 on the Tate curve; no gauge enters
+    e4, e6 = (QSeries.make(ZZ, order, [1] + [c * divisor_power_sum(k, n)
+                                            for n in range(1, order)])
+              for c, k in ((240, 3), (-504, 5)))
+    e4_cubed, (delta, c4) = e4 * e4 * e4, weierstrass.discriminant(res.raw)
+    got, want = c4 * c4 * c4 * (e4_cubed - e6 * e6).exact_div(1728), e4_cubed * delta
+    yield "j-invariant", "mirror-j-equals-tate-j", got == want, want, got
     certificate = list(fukaya.relation_certificate())
     yield ("relation-unimodular", "relation-coefficients-integral", certificate == [1, 1],
            [1, 1], certificate)
@@ -325,23 +332,10 @@ def run_lie_suite(char: int = 0):
                f"global sign {sign}" if sign is not None else computed)
 
 
-def _timed(suite, *args, **kwargs) -> VerificationReport:
-    """Run one suite and record its own wall-clock duration in the report."""
-    start = time.perf_counter()
-    report = suite(*args, **kwargs)
-    report.duration_seconds = round(time.perf_counter() - start, 3)
-    return report
-
-
 def run_all(order: int = 8) -> list:
-    return [
-        _timed(run_lattice_suite),
-        _timed(run_theta_suite),
-        _timed(run_dehn_suite),
-        _timed(run_mirror_suite, order),
-        *(_timed(run_hochschild_suite, c) for c in (0, 2, 3, 5)),
-        *(_timed(run_lie_suite, c) for c in (0, 2, 3)),
-    ]
+    return [run_lattice_suite(), run_theta_suite(), run_dehn_suite(), run_mirror_suite(order),
+            *(run_hochschild_suite(c) for c in (0, 2, 3, 5)),
+            *(run_lie_suite(c) for c in (0, 2, 3))]
 
 
 def _emit(reports, out_path):
@@ -420,7 +414,7 @@ def main(argv=None) -> int:
     suite, out, _ = (args.pop(key) for key in ("suite", "out", "command"))
     if "window" in args:
         args["n_max"], args["s_min"] = args.pop("window")
-    reports = run_all(**args) if suite is run_all else [_timed(suite, **args)]
+    reports = run_all(**args) if suite is run_all else [suite(**args)]
     return _emit(reports, out)
 
 

@@ -42,27 +42,21 @@ class Ring:
     """One of Z, Q or F_p, with arithmetic on raw representatives.
 
     Raw representatives are ``int`` for Z and F_p (residues in [0, p)) and
-    ``Fraction`` for Q.  Instances are cached so ring equality is identity.
+    ``Fraction`` for Q.  Rings come only from ``ZZ``, ``QQ`` and the cached
+    ``GF(p)``, one instance each, so ring equality is identity; pickling and
+    copying return that instance.
     """
 
     __slots__ = ("kind", "p")
-    _cache: dict = {}
 
-    def __new__(cls, kind: str, p: int | None = None):
-        key = (kind, p)
-        inst = cls._cache.get(key)
-        if inst is None:
-            inst = object.__new__(cls)
-            inst.kind = kind
-            inst.p = p
-            cls._cache[key] = inst
-        return inst
+    def __init__(self, kind: str, p: int | None = None):
+        self.kind, self.p = kind, p
 
     def __repr__(self):
         return {"ZZ": "ZZ", "QQ": "QQ"}.get(self.kind) or f"GF({self.p})"
 
     def __reduce__(self):
-        return (Ring, (self.kind, self.p))
+        return (GF, (self.p,)) if self.kind == "GF" else self.kind
 
     @property
     def characteristic(self) -> int:
@@ -127,7 +121,8 @@ ZZ = Ring("ZZ")
 QQ = Ring("QQ")
 
 
-def GF(p: int) -> Ring:
+@functools.cache
+def GF(p: int, /) -> Ring:
     if p >= _PRIME_BOUND:
         raise ValueError(f"{p} is past the primality bound {_PRIME_BOUND}")
     if not _is_prime(p):

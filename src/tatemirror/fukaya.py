@@ -146,10 +146,8 @@ def dehn_table_q0():
     z_zeta0 = floer_mul(zp, zeta0)
     z_zeta1 = floer_mul(zp, zeta1)
     z3 = floer_mul(zp, z2)
-    eta2_sq = floer_mul(eta2, eta2)
     eta12 = floer_mul(eta1, eta2)
-    zeta1_cubed = _power(zeta1, 3)
-    xyz = floer_mul(floer_mul(zeta1, eta2), zp)
+    eta2_sq, zeta1_cubed, xyz = _degree_six_monomials(order)[:3]  # y'^2, x'^3, x'y'z'
 
     checks = [  # (id, expected, actual) as q = 0 slot maps
         ("z'^2 = zeta0 + 2*zeta1", {0: 1, 1: 2}, z2.q0_map()),

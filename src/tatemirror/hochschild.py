@@ -124,10 +124,9 @@ class PlaneCurveRing:
         return self.normal_form(out)
 
     def monomials(self, max_weight: int):
-        """Basis monomials x^a y^b, b <= 1, of weight <= max_weight."""
-        monos = [(a, b) for b in (0, 1) for a in range(max_weight // 2 + 1)]
-        return sorted((m for m in monos if weight(m) <= max_weight),
-                      key=lambda m: (weight(m), m[1]))
+        """Basis monomials x^a y^b, b <= 1, of weight <= max_weight, by ascending
+        weight: there is one of each weight other than 1."""
+        return [m for w in range(max_weight + 1) if (m := _weight_monomial(w))]
 
 
 # -- bounded-degree quotient machinery ---------------------------------------
@@ -180,11 +179,11 @@ class _Span:
         return sum(1 for p in self.pivots if self._low(p))
 
     def basis(self) -> list:
-        """Monomials of the non-pivot reporting columns, ascending weight."""
+        """Monomials of the non-pivot reporting columns of a one-component span,
+        ascending weight: the columns reversed."""
         pivots = set(self.pivots)
-        return sorted((m for i, (_, m) in enumerate(self.columns)
-                       if i not in pivots and self._low(i)),
-                      key=lambda m: (weight(m), m[1]))
+        return [m for i, (_, m) in enumerate(self.columns)
+                if i not in pivots and self._low(i)][::-1]
 
     def reduce(self, p: dict) -> dict:
         """Residue of the polynomial p modulo a one-component span."""

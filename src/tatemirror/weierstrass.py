@@ -246,16 +246,13 @@ def _hensel_normalizer(w: WeierstrassCoeffs):
         return sum(x[i] * y[m - i] for i in range(m + 1))
 
     for m in range(1, order):
-        # residuals of a2 - s*a1 + 3r - s^2 and a3 + r*a1 + 2t at order m,
-        # with the order-m unknowns still zero
-        f2 = a2[m] - conv(s, a1, m) + 3 * r[m] - conv(s, s, m)
-        f3 = a3[m] + conv(r, a1, m) + 2 * t[m]
-        rm = f3 % 2
-        tm = (-f3 - a10 * rm) // 2
-        sm = u0 * (f2 + 3 * rm)
-        s[m] += sm
-        r[m] += rm
-        t[m] += tm
+        # residuals of a2 - s*a1 + 3r - s^2 and a3 + r*a1 + 2t at order m, where
+        # the order-m unknowns are still zero, so 3r and 2t add nothing
+        f2 = a2[m] - conv(s, a1, m) - conv(s, s, m)
+        f3 = a3[m] + conv(r, a1, m)
+        r[m] = f3 % 2
+        t[m] = (-f3 - a10 * r[m]) // 2
+        s[m] = u0 * (f2 + 3 * r[m])
     u = QSeries.make(ZZ, order, a1) + QSeries.make(ZZ, order, s) * 2
     return Reparam(u, QSeries.make(ZZ, order, s),
                    QSeries.make(ZZ, order, r), QSeries.make(ZZ, order, t))

@@ -6,8 +6,9 @@ import types
 
 import pytest
 
-from tatemirror import cli, hochschild, weierstrass
+from tatemirror import cli, fukaya, hochschild, weierstrass
 from tatemirror.errors import InvariantError, StabilizationError
+from tatemirror.exactnum import ZZ, QSeries
 
 
 def run(args, capsys):
@@ -81,7 +82,8 @@ class TestReports:
 
     def test_report_shape(self, capsys):
         _, doc = run(["lie-brackets", "--char", "3"], capsys)
-        assert set(doc) == {"suite", "params", "passed", "checks", "duration_seconds"}
+        assert set(doc) == {"suite", "params", "passed", "n_checks", "checks",
+                            "duration_seconds"}
         for check in doc["checks"]:
             assert set(check) == {"id", "anchor", "status", "expected", "actual"}
 
@@ -94,9 +96,10 @@ class TestReports:
         clock = [0.0]
 
         def stub(name, seconds):
+            @cli._suite(name)
             def suite(*args):
                 clock[0] += seconds
-                return cli.VerificationReport(name, {})
+                yield from ()
             return suite
 
         for seconds, name in enumerate(
@@ -374,3 +377,81 @@ class TestEveryPrime:
         lie = cli.run_lie_suite(char)
         assert hoch.passed and len(hoch.checks) >= 13
         assert lie.passed and len(lie.checks) >= 5
+
+
+class TestSuiteClockAndCount:
+    def test_a_directly_called_suite_records_its_own_duration(self, monkeypatch):
+        ticks = iter([10.0, 12.25])
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
+        assert cli.run_dehn_suite().duration_seconds == 2.25
+
+    def test_the_clock_stops_after_the_suite_completes_record(self, monkeypatch):
+        clock = [0.0]
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+        monkeypatch.setattr(cli.sys, "excepthook", lambda *exc_info: None)
+
+        @cli._suite("halts")
+        def halts():
+            clock[0] += 1.5
+            yield "first", "anchor", True, None, None
+            clock[0] += 2
+            raise ValueError("fabricated")
+
+        report = halts()
+        assert [c.anchor for c in report.checks] == ["anchor", "suite-completes"]
+        assert report.duration_seconds == 3.5
+
+    @pytest.mark.parametrize("argv, n_checks", [
+        (["verify-lattice", "--max-degree", "0"], 0),
+        (["verify-lattice", "--max-degree", "1"], 0),
+        (["verify-theta", "--max-degree", "1"], 0),
+        (["dehn-table"], 12),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+    def test_every_report_counts_its_checks(self, argv, n_checks, capsys):
+        code, doc = run(argv, capsys)
+        assert code == 0
+        assert doc["n_checks"] == len(doc["checks"]) == n_checks
+
+
+class TestJInvariant:
+    """The j record compares the raw mirror curve with the Tate curve through
+    c4^3 / Delta, which no reparametrization changes."""
+
+    @staticmethod
+    def statuses(doc):
+        return {c["id"]: c["status"] for c in doc["checks"]}
+
+    @pytest.mark.parametrize("order", [1, 2, 8, 16])
+    def test_passes_on_the_mirror(self, order, capsys):
+        code, doc = run(["mirror-map", "--order", str(order)], capsys)
+        assert code == 0
+        ids = [c["id"] for c in doc["checks"]]
+        assert ids.index("j-invariant") == ids.index("relation-unimodular") - 1
+        assert self.statuses(doc)["j-invariant"] == "pass"
+
+    def test_fails_on_a_perturbed_raw_curve(self, capsys, monkeypatch):
+        mirror = fukaya.mirror_weierstrass
+
+        def perturbed(order):
+            res = mirror(order)
+            a6 = res.raw.a6 + QSeries.make(ZZ, order, [0, 0, 1])
+            return dataclasses.replace(res, raw=dataclasses.replace(res.raw, a6=a6))
+
+        monkeypatch.setattr(fukaya, "mirror_weierstrass", perturbed)
+        code, doc = run(["mirror-map"], capsys)
+        assert code == 1
+        assert [i for i, s in self.statuses(doc).items() if s != "pass"] == ["j-invariant"]
+
+    def test_a_wrong_a4_target_fails_a6_but_not_j(self, capsys, monkeypatch):
+        # the gauge slice absorbs a wrong a4 target; j shows the mirror is
+        # still the Tate curve, so the fault is on the Tate side
+        tate_coeffs = weierstrass.tate_coeffs
+
+        def wrong_a4(order):
+            a4, a6 = tate_coeffs(order)
+            return a4 + QSeries.make(ZZ, order, [0, 1]), a6
+
+        monkeypatch.setattr(weierstrass, "tate_coeffs", wrong_a4)
+        code, doc = run(["mirror-map"], capsys)
+        assert code == 1
+        assert [i for i, s in self.statuses(doc).items() if s != "pass"] == ["coefficient-a6"]

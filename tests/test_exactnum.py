@@ -1,11 +1,14 @@
+import copy
 import dataclasses
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tatemirror import exactnum
 from tatemirror.errors import NonUnitError, RingMismatchError
 from tatemirror.exactnum import GF, QQ, ZZ, QSeries, _is_prime, divisor_power_sum
 
@@ -23,6 +26,20 @@ class TestScalar:
     def test_ring_identity_is_cached(self):
         assert GF(7) is GF(7)
         assert ZZ is not QQ
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ, GF(7), GF(2305843009213693951)], ids=repr)
+    def test_pickle_and_copies_return_the_same_ring(self, ring):
+        assert pickle.loads(pickle.dumps(ring)) is ring
+        assert copy.deepcopy(ring) is ring and copy.copy(ring) is ring
+        assert ring.characteristic == 0 or GF(ring.p) is ring
+
+    def test_each_prime_is_tested_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(exactnum, "_is_prime", lambda p: calls.append(p) or _is_prime(p))
+        assert GF(2147483647) is GF(2147483647)
+        assert calls == [2147483647]
+        with pytest.raises(TypeError):
+            GF(p=7)  # a keyword call would be a second cache key, so a second ring
 
     def test_arithmetic_tags(self):
         a = scalar(ZZ, 5)

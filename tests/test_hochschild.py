@@ -67,6 +67,16 @@ class TestNormalForm:
                 assert ring.normal_form(ring.poly({(0, 2): 1, (1, 1): ring.c, (3, 0): -1})) == {}
 
 
+class TestMonomials:
+    def test_one_per_weight_equals_the_sorted_candidates(self):
+        for ring in rings(0):
+            for max_weight in range(-1, 41):
+                candidates = [(a, b) for b in (0, 1) for a in range(max_weight // 2 + 1)]
+                want = sorted((m for m in candidates if hh.weight(m) <= max_weight),
+                              key=lambda m: (hh.weight(m), m[1]))
+                assert ring.monomials(max_weight) == want, max_weight
+
+
 class TestTjurina:
     @pytest.mark.parametrize("char,dim", [(0, 2), (2, 4), (3, 3), (5, 2)])
     def test_cusp_dimension(self, char, dim):

@@ -91,6 +91,12 @@ FAULTS = [
      "if num % 3 or tnum % 2:", "if tnum % 2:"),
     ("Koszul stabilization check dropped", "hochschild.py",
      "if lo != hi:", "if False:"),
+    ("top weight dropped from monomials", "hochschild.py",
+     "range(max_weight + 1)", "range(max_weight)"),
+    ("a4 target off by one at every positive order, absorbed by the gauge", "weierstrass.py",
+     "a4.append(-5 * s3)", "a4.append(-5 * s3 + 1)"),
+    ("one c4 factor dropped from the j check", "cli.py",
+     "c4 * c4 * c4 * (e4_cubed", "c4 * c4 * (e4_cubed"),
 ]
 
 
