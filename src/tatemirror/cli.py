@@ -13,6 +13,7 @@ and turns an exception escaping it into one failed check named after it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import inspect
 import json
@@ -338,16 +339,11 @@ def run_all(order: int = 8) -> list:
             *(run_lie_suite(c) for c in (0, 2, 3))]
 
 
-def _emit(reports, out_path):
+def _emit(reports, fh):
     doc = reports[0].to_dict() if len(reports) == 1 else {
         "suites": [r.to_dict() for r in reports],
         "passed": all(r.passed for r in reports)}
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -414,8 +410,13 @@ def main(argv=None) -> int:
     suite, out, _ = (args.pop(key) for key in ("suite", "out", "command"))
     if "window" in args:
         args["n_max"], args["s_min"] = args.pop("window")
-    reports = run_all(**args) if suite is run_all else [suite(**args)]
-    return _emit(reports, out)
+    try:
+        # opened before any suite runs, so an unwritable path costs no work
+        sink = open(out, "w") if out else contextlib.nullcontext(sys.stdout)
+    except OSError as err:
+        parser.error(f"cannot write --out {out}: {err.strerror}")
+    with sink as fh:
+        return _emit(run_all(**args) if suite is run_all else [suite(**args)], fh)
 
 
 if __name__ == "__main__":

@@ -4,9 +4,10 @@ The coordinate rings are K[x,y]/(f) with f = y^2 + c*x*y - x^3, c = 0 for
 the cusp and c = 1 for the node.  Reducing y^2 -> x^3 - c*x*y gives every
 polynomial a unique normal form with y-degree at most 1, so ideal membership
 and quotient dimensions reduce to bounded-degree linear algebra on the
-monomial basis {x^a y^b : b <= 1}.  Degrees are weighted with x of weight 2
-and y of weight 3; for the cusp f is homogeneous of weight 6 and everything
-is graded.
+monomial basis {x^a y^b : b <= 1}; one loop, ``PlaneCurveRing._reduce``,
+brings every sum and product to that form.  Degrees are weighted with x of
+weight 2 and y of weight 3; for the cusp f is homogeneous of weight 6 and
+everything is graded.
 
 Over QQ a coefficient is an ``int`` wherever it is integral, so the spans and
 kernels below run on ``_linalg``'s integer elimination.
@@ -15,12 +16,16 @@ Even cohomology of the curve ring is carried by the Tjurina algebra
 T = R/(f_x, f_y), odd cohomology by the middle homology of the two-step
 complex built from (f_x, f_y); both are computed here, together with the
 graded ranks of the cusp's resolution dga, its differential one image table.
+The middle homology's generators come from one elimination of the boundary
+multiples stacked ahead of the kernel pairs, and their number is its
+dimension.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import chain
 
 from . import _linalg
 from .errors import StabilizationError, VerificationFailure
@@ -73,40 +78,29 @@ class PlaneCurveRing:
     def f_y(self) -> dict:
         return self.poly({(0, 1): 2, (1, 0): self.c})
 
-    def normal_form(self, terms: dict) -> dict:
-        """Unique representative with y-degree <= 1; idempotent."""
-        field = self.field
-        work = dict(terms)
-        out = {}
-        while work:
-            (a, b), coeff = work.popitem()
-            if not coeff:
-                continue
-            if b <= 1:
-                acc = field.add(out.get((a, b), 0), coeff)
-                if not acc:
-                    out.pop((a, b), None)
-                else:
-                    out[(a, b)] = acc
-                continue
-            # y^2 = x^3 - c*x*y
-            hi = (a + 3, b - 2)
-            work[hi] = field.add(work.get(hi, 0), coeff)
-            if self.c:
-                lo = (a + 1, b - 1)
-                work[lo] = field.sub(work.get(lo, 0), coeff)
+    def _reduce(self, pairs) -> dict:
+        """Sum (monomial, coefficient) pairs, a monomial possibly repeated, into
+        the normal form: y^2 = x^3 - c*x*y is rewritten until y-degree <= 1."""
+        add, c = self.field.add, self.c
+        out, stack = {}, list(pairs)
+        while stack:
+            (a, b), coeff = stack.pop()
+            if b > 1:  # -coeff is taken mod p where it is added
+                stack.append(((a + 3, b - 2), coeff))
+                if c:
+                    stack.append(((a + 1, b - 1), -coeff))
+            elif acc := add(out.get((a, b), 0), coeff):
+                out[(a, b)] = acc
+            else:
+                out.pop((a, b), None)
         return out
 
+    def normal_form(self, terms: dict) -> dict:
+        """Unique representative with y-degree <= 1; idempotent."""
+        return self._reduce(terms.items())
+
     def add(self, p: dict, q: dict) -> dict:
-        field = self.field
-        out = dict(p)
-        for mono, coeff in q.items():
-            acc = field.add(out.get(mono, 0), coeff)
-            if not acc:
-                out.pop(mono, None)
-            else:
-                out[mono] = acc
-        return out
+        return self._reduce(chain(p.items(), q.items()))
 
     def scale(self, p: dict, coeff) -> dict:
         raw = self._raw(coeff)
@@ -115,13 +109,9 @@ class PlaneCurveRing:
         return {m: self.field.mul(v, raw) for m, v in p.items()}
 
     def mul(self, p: dict, q: dict) -> dict:
-        field = self.field
-        out = {}
-        for (a1, b1), c1 in p.items():
-            for (a2, b2), c2 in q.items():
-                mono = (a1 + a2, b1 + b2)
-                out[mono] = field.add(out.get(mono, 0), field.mul(c1, c2))
-        return self.normal_form(out)
+        mul = self.field.mul
+        return self._reduce(((a1 + a2, b1 + b2), mul(c1, c2))
+                            for (a1, b1), c1 in p.items() for (a2, b2), c2 in q.items())
 
     def monomials(self, max_weight: int):
         """Basis monomials x^a y^b, b <= 1, of weight <= max_weight, by ascending
@@ -156,44 +146,35 @@ def _multiple_rows(ring: PlaneCurveRing, gens, multipliers, columns):
 
 
 class _Span:
-    """Row-reduced span of the multiples of generators of R^k in a weight window.
+    """Row-reduced span of the multiples of f_x and f_y in a weight window.
 
     Multipliers run up to report_weight and products are tracked in the window
     padded by the generator weight 4; with columns ordered by descending weight,
     an echelon row whose pivot lies in the reporting window is supported
-    entirely inside it, so counting low pivots measures the span there exactly.
+    entirely inside it, so the non-pivot reporting columns span the quotient.
     """
 
-    def __init__(self, ring: PlaneCurveRing, gens, report_weight: int):
+    def __init__(self, ring: PlaneCurveRing, report_weight: int):
         self.ring = ring
         self.report_weight = report_weight
-        self.columns = _columns(ring, report_weight, len(gens[0]))
+        self.columns = _columns(ring, report_weight, 1)
         self.index = {c: i for i, c in enumerate(self.columns)}
-        rows = _multiple_rows(ring, gens, ring.monomials(report_weight), self.columns)
+        rows = _multiple_rows(ring, [(ring.f_x(),), (ring.f_y(),)],
+                              ring.monomials(report_weight), self.columns)
         self.rows, self.pivots = _linalg.echelon(rows, ring.field)
 
-    def _low(self, col: int) -> bool:
-        return weight(self.columns[col][1]) <= self.report_weight
-
-    def low_rank(self) -> int:
-        return sum(1 for p in self.pivots if self._low(p))
-
     def basis(self) -> list:
-        """Monomials of the non-pivot reporting columns of a one-component span,
-        ascending weight: the columns reversed."""
+        """Monomials of the non-pivot reporting columns, ascending weight: the
+        columns reversed."""
         pivots = set(self.pivots)
         return [m for i, (_, m) in enumerate(self.columns)
-                if i not in pivots and self._low(i)][::-1]
+                if i not in pivots and weight(m) <= self.report_weight][::-1]
 
     def reduce(self, p: dict) -> dict:
-        """Residue of the polynomial p modulo a one-component span."""
+        """Residue of the polynomial p modulo the span."""
         vec = _vector(self.index, [self.ring.normal_form(p)])
         red = _linalg.reduce_mod_span(self.rows, self.pivots, vec, self.ring.field)
         return {self.columns[i][1]: v for i, v in enumerate(red) if v}
-
-
-def _ideal_slice(ring: PlaneCurveRing, report_weight: int) -> _Span:
-    return _Span(ring, [(ring.f_x(),), (ring.f_y(),)], report_weight)
 
 
 def tjurina_dim(ring: PlaneCurveRing, bound: int = 10):
@@ -202,15 +183,27 @@ def tjurina_dim(ring: PlaneCurveRing, bound: int = 10):
     Uses linear algebra on monomials up to weight 2*bound, checking that the
     answer is unchanged at 2*bound + 4 (the bound-vs-bound+2 stabilization).
     """
-    lo = _ideal_slice(ring, 2 * bound).basis()
-    hi = _ideal_slice(ring, 2 * bound + 4).basis()
+    lo = _Span(ring, 2 * bound).basis()
+    hi = _Span(ring, 2 * bound + 4).basis()
     if len(lo) != len(hi):
         raise StabilizationError(
             f"Tjurina dimension moved from {len(lo)} to {len(hi)}; increase the bound")
     return len(lo), lo
 
 
-def _koszul_at(ring: PlaneCurveRing, report_weight: int):
+def _koszul_at(ring: PlaneCurveRing, report_weight: int) -> list:
+    """Generating pairs of the middle homology from the window report_weight.
+
+    The kernel pairs K of (a1, a2) -> a1*f_x + a2*f_y, supported in weights
+    <= report_weight, are stacked behind the boundary multiples m*(f_y, -f_x),
+    m of weight <= report_weight; one echelon of the transposed stack keeps
+    the pairs independent of the boundary and of the pairs before them.
+
+    Lemma: their number is dim K - dim(B ∩ K), B the span of the boundary
+    multiples, and every boundary multiple is a syzygy, so B ∩ K is the part
+    of B supported in the window: the count is the dimension of the middle
+    homology in the window, with nothing left to subtract.
+    """
     fx, fy = ring.f_x(), ring.f_y()
     source = ring.monomials(report_weight)
     # kernel of (alpha1, alpha2) -> alpha1*f_x + alpha2*f_y on the window,
@@ -220,23 +213,24 @@ def _koszul_at(ring: PlaneCurveRing, report_weight: int):
     kernel = [tuple({source[i]: v for i, v in enumerate(half) if v}
                     for half in (vec[: len(source)], vec[len(source):]))
               for vec in _linalg.kernel(matrix, ring.field)]
-    boundary = _Span(ring, [(fy, ring.scale(fx, -1))], report_weight)
-    # generators: the kernel pairs independent of the boundary and earlier pairs
-    stack = boundary.rows + [_vector(boundary.index, pair) for pair in kernel]
+    columns = _columns(ring, report_weight, 2)
+    boundary = _multiple_rows(ring, [(fy, ring.scale(fx, -1))], source, columns)
+    index = {c: i for i, c in enumerate(columns)}
+    stack = boundary + [_vector(index, pair) for pair in kernel]
     _, pivots = _linalg.echelon(_linalg.transpose(stack), ring.field)
-    n = len(boundary.rows)
-    return len(kernel) - boundary.low_rank(), [kernel[c - n] for c in pivots if c >= n]
+    n = len(boundary)
+    return [kernel[c - n] for c in pivots if c >= n]
 
 
 def koszul_h1_dim(ring: PlaneCurveRing, bound: int = 10):
     """Dimension and generating pairs of ker[(a1,a2) -> a1*f_x + a2*f_y]
     modulo R*(f_y, -f_x).
 
-    The pairs come from the window 2*bound, and the dimension is checked to be
+    The pairs come from the window 2*bound, and their number is checked to be
     unchanged at 2*bound + 4 (the same stabilization as tjurina_dim).
     """
-    lo, pairs = _koszul_at(ring, 2 * bound)
-    hi, _ = _koszul_at(ring, 2 * bound + 4)
+    pairs = _koszul_at(ring, 2 * bound)
+    lo, hi = len(pairs), len(_koszul_at(ring, 2 * bound + 4))
     if lo != hi:
         raise StabilizationError(
             f"middle homology moved from {lo} to {hi}; increase the bound")
@@ -252,8 +246,8 @@ def omega_pairing(ring: PlaneCurveRing, generators):
     values = [[ring.add(ring.mul(a1, g2), ring.scale(ring.mul(a2, g1), -1))
                for (g1, g2) in generators] for (a1, a2) in generators]
     # the window only has to hold the values themselves
-    tslice = _ideal_slice(ring, max((weight(m) for row in values for val in row
-                                     for m in val), default=0))
+    tslice = _Span(ring, max((weight(m) for row in values for val in row
+                              for m in val), default=0))
     matrix = [[tslice.reduce(val) for val in row] for row in values]
     for i, row in enumerate(matrix):
         for j, entry in enumerate(row):

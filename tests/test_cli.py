@@ -64,6 +64,27 @@ class TestExitCodes:
         assert doc["passed"] is True
 
 
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("place", ["before-command", "after-command"])
+    @pytest.mark.parametrize("target", ["missing-directory", "a-directory"])
+    def test_exits_2_before_any_suite_runs(self, place, target, tmp_path, monkeypatch,
+                                           capsys):
+        path = str(tmp_path / "missing" / "x.json" if target == "missing-directory"
+                   else tmp_path)
+        ran = []
+        monkeypatch.setattr(cli, "run_dehn_suite", lambda: ran.append("dehn-table"))
+        argv = (["--out", path, "dehn-table"] if place == "before-command"
+                else ["dehn-table", "--out", path])
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"cannot write --out {path}" in err
+        assert "Traceback" not in err
+        assert ran == []
+
+
 class TestReports:
     def test_mirror_map_order_one(self, capsys):
         code, doc = run(["mirror-map", "--order", "1"], capsys)

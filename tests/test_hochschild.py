@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from tatemirror import _linalg
 from tatemirror import hochschild as hh
 from tatemirror.errors import VerificationFailure
 from tatemirror.exactnum import GF, QQ, ring_of_characteristic
@@ -65,6 +66,52 @@ class TestNormalForm:
         for char in CHARS:
             for ring in rings(char):
                 assert ring.normal_form(ring.poly({(0, 2): 1, (1, 1): ring.c, (3, 0): -1})) == {}
+
+
+
+class TestSumsAgainstAnOracle:
+    # add and mul hand every pair to one reduction loop, repeated monomials
+    # included; the oracle sums into a dict first, then rewrites
+    # y^2 = x^3 - c*x*y from the top y-degree down
+    @staticmethod
+    def oracle(ring, pairs):
+        fld, acc = ring.field, {}
+
+        def put(mono, coeff):
+            acc[mono] = fld.add(acc.get(mono, 0), coeff)
+
+        for mono, coeff in pairs:
+            put(mono, coeff)
+        for b in range(max((b for _, b in acc), default=0), 1, -1):
+            for a in sorted(a for a, bb in acc if bb == b):
+                coeff = acc.pop((a, b))
+                put((a + 3, b - 2), coeff)
+                put((a + 1, b - 1), fld.sub(0, fld.mul(ring.c, coeff)))
+        return {m: v for m, v in acc.items() if v}
+
+    @pytest.mark.parametrize("char", CHARS)
+    def test_add_and_mul_match_the_oracle(self, char):
+        rng = random.Random(97 + char)
+        for ring in rings(char):
+            fld = ring.field
+
+            def coeff():
+                # over QQ, int and Fraction coefficients mix
+                k = rng.randint(-3, 3)
+                return k if char or rng.random() < 0.5 else Fraction(k, 2)
+
+            def draw():
+                return ring.poly({(rng.randint(0, 3), rng.randint(0, 1)): coeff()
+                                  for _ in range(rng.randint(0, 6))})
+
+            for _ in range(150):
+                p, q = draw(), draw()
+                for mono in rng.sample(sorted(p), len(p) // 2):  # cancelling terms
+                    q[mono] = fld.sub(0, p[mono])
+                assert ring.add(p, q) == self.oracle(ring, [*p.items(), *q.items()])
+                products = [((a1 + a2, b1 + b2), fld.mul(c1, c2))
+                            for (a1, b1), c1 in p.items() for (a2, b2), c2 in q.items()]
+                assert ring.mul(p, q) == self.oracle(ring, products)
 
 
 class TestMonomials:
@@ -152,6 +199,53 @@ class TestSingleKoszulPass:
         monkeypatch.setattr(hh, "_koszul_at", recording)
         assert cli.run_hochschild_suite(5).passed
         assert calls == [("cusp", 20), ("cusp", 24), ("node", 20), ("node", 24)]
+
+
+
+class TestKoszulStack:
+    # the count the boundary stack gives, against dim ker - dim(B in window)
+    # computed from ranks alone: B in window is rank B minus the rank of B
+    # restricted to the weights above the window
+    @pytest.mark.parametrize("char", (0, 2, 3, 5, 7))
+    def test_count_is_kernel_minus_boundary_in_window(self, char):
+        for ring in rings(char):
+            fld = ring.field
+            fx, fy = ring.f_x(), ring.f_y()
+            neg_fx = {m: fld.sub(0, v) for m, v in fx.items()}
+            for w in range(29):
+                source, target = ring.monomials(w), ring.monomials(w + 4)
+
+                def vector(m, comps):
+                    products = [ring.mul({m: 1}, comp) for comp in comps]
+                    return [prod.get(t, 0) for prod in products for t in target]
+
+                image = [vector(m, [g]) for g in (fx, fy) for m in source]
+                boundary = [vector(m, [fy, neg_fx]) for m in source]
+                high = [i for i, t in enumerate(target * 2) if hh.weight(t) > w]
+                kernel_dim = 2 * len(source) - _linalg.rank(image, fld)
+                in_window = (_linalg.rank(boundary, fld)
+                             - _linalg.rank([[r[i] for i in high] for r in boundary], fld))
+                assert len(hh._koszul_at(ring, w)) == kernel_dim - in_window, (char, ring, w)
+
+    def test_one_window_takes_two_eliminations(self, monkeypatch):
+        calls = []
+        original = _linalg.echelon
+
+        def counting(rows, ring):
+            calls.append(ring)
+            return original(rows, ring)
+
+        monkeypatch.setattr(_linalg, "echelon", counting)
+        for ring in rings(0):
+            calls.clear()
+            hh._koszul_at(ring, 20)
+            assert len(calls) == 2
+
+    @pytest.mark.parametrize("char", (0, 2, 3, 5, 7, 2**61 - 1))
+    def test_suite_passes_at_bound_18(self, char):
+        from tatemirror import cli
+        report = cli.run_hochschild_suite(char, bound=18)
+        assert report.passed, [c for c in report.checks if c.status != "pass"]
 
 
 class TestOmegaPairing:

@@ -1,6 +1,7 @@
 """Planted-fault census: which deliberate faults does the tier-1 suite catch?
 
     python3 tools/faults.py
+    python3 tools/faults.py --reports
 
 Each fault is one exact text edit to a file under ``src/tatemirror``.  For
 each, ``src/``, ``tests/`` and ``pyproject.toml`` are copied to a temporary
@@ -8,11 +9,19 @@ directory, the edit is applied there, and the tier-1 tests run against the
 copy with ``-x``.  A fault is killed when the run fails, and the first
 failing test is printed; it survives when every test passes.  The exit
 status is 1 if any fault survives (or an edit no longer applies), else 0.
-Standard library only; the working tree is never modified.
+
+With ``--reports`` the copy runs ``tatemirror all`` and
+``tatemirror all --order 64`` instead, and each fault prints the check
+records that fail in either report (``suite[char=p]/id``); a fault is silent
+when both reports pass.  The census ends with the records that no fault
+fails.  The exit status is 1 if any fault is silent (or an edit no longer
+applies), else 0.  Standard library only; the working tree is never modified.
 """
 
 from __future__ import annotations
 
+import argparse
+import json
 import os
 import shutil
 import subprocess
@@ -22,6 +31,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TIMEOUT_S = 900
+REPORT_RUNS = (["all"], ["all", "--order", "64"])
 
 # (name, file under src/tatemirror, exact old text, new text)
 FAULTS = [
@@ -41,8 +51,9 @@ FAULTS = [
     ("j_window shrunk to a third", "theta.py",
      "return math.isqrt(2 * n3 * (order + n3) // (n1 * n2)) + 2",
      "return (math.isqrt(2 * n3 * (order + n3) // (n1 * n2)) + 2) // 3"),
-    ("Koszul boundary dropped", "hochschild.py",
-     "return len(kernel) - boundary.low_rank(), ", "return len(kernel), "),
+    ("Koszul boundary multiples left out of the stack", "hochschild.py",
+     "boundary = _multiple_rows(ring, [(fy, ring.scale(fx, -1))], source, columns)",
+     "boundary = []"),
     ("f*(f-1) -> f*(f+1) in lambda_exp", "theta.py",
      "whole += n * f * (f - 1) // 2", "whole += n * f * (f + 1) // 2"),
     ("+ 1 dropped from j_range's upper bound", "theta.py",
@@ -97,6 +108,8 @@ FAULTS = [
      "a4.append(-5 * s3)", "a4.append(-5 * s3 + 1)"),
     ("one c4 factor dropped from the j check", "cli.py",
      "c4 * c4 * c4 * (e4_cubed", "c4 * c4 * (e4_cubed"),
+    ("sign of the c*x*y term flipped in the curve ring's reduction", "hochschild.py",
+     "stack.append(((a + 1, b - 1), -coeff))", "stack.append(((a + 1, b - 1), coeff))"),
 ]
 
 
@@ -107,10 +120,9 @@ def _first_failure(output: str) -> str:
     return output.strip().splitlines()[-1] if output.strip() else "(no output)"
 
 
-def run_fault(name: str, filename: str, old: str, new: str) -> tuple:
-    """Plant one fault in a scratch copy and run tier-1 on it with -x.
-
-    Returns (status, detail) with status "killed", "survived" or "stale"."""
+def run_fault(filename: str, old: str, new: str, probe):
+    """Plant one fault in a scratch copy and return probe(copy, env), with env
+    importing the copy; None when the edit does not match exactly once."""
     with tempfile.TemporaryDirectory(prefix="tatemirror-fault-") as tmp:
         for part in ("src", "tests"):
             shutil.copytree(os.path.join(ROOT, part), os.path.join(tmp, part),
@@ -120,32 +132,95 @@ def run_fault(name: str, filename: str, old: str, new: str) -> tuple:
         with open(path) as fh:
             text = fh.read()
         if text.count(old) != 1:
-            return "stale", f"edit matches {text.count(old)} times in {filename}"
+            return None
         with open(path, "w") as fh:
             fh.write(text.replace(old, new))
-        env = dict(os.environ, PYTHONPATH=os.path.join(tmp, "src"))
-        cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-               "--continue-on-collection-errors"]
-        try:
-            proc = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True,
-                                  text=True, timeout=TIMEOUT_S)
-        except subprocess.TimeoutExpired:
-            return "killed", f"timed out after {TIMEOUT_S} s"
+        return probe(tmp, dict(os.environ, PYTHONPATH=os.path.join(tmp, "src")))
+
+
+def tier1(tmp: str, env: dict) -> tuple:
+    """Tier-1 with -x on the tree at tmp: (status, detail), status "killed" or
+    "survived"."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+           "--continue-on-collection-errors"]
+    try:
+        proc = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True,
+                              text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "killed", f"timed out after {TIMEOUT_S} s"
     if proc.returncode == 0:
         return "survived", "every tier-1 test passed"
     return "killed", _first_failure(proc.stdout + proc.stderr)
 
 
-def main() -> int:
+def reports(tmp: str, env: dict) -> dict:
+    """Check record -> passed, over the REPORT_RUNS on the tree at tmp; a record
+    passes only if it passes in every run.  A run without a report is one
+    failed record named after the run."""
+    records = {}
+    for args in REPORT_RUNS:
+        run = "tatemirror " + " ".join(args)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "tatemirror.cli", *args], cwd=tmp,
+                                  env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+            suites = json.loads(proc.stdout)["suites"]
+        except (subprocess.TimeoutExpired, ValueError, KeyError):
+            records[f"{run}: no report"] = False
+            continue
+        for suite in suites:
+            char = suite["params"].get("char")
+            label = suite["suite"] + (f"[char={char}]" if char is not None else "")
+            for check in suite["checks"]:
+                key = f"{label}/{check['id']}"
+                records[key] = records.get(key, True) and check["status"] == "pass"
+    return records
+
+
+def tier1_census() -> int:
     bad = 0
     for name, filename, old, new in FAULTS:
         start = time.perf_counter()
-        status, detail = run_fault(name, filename, old, new)
+        status, detail = (run_fault(filename, old, new, tier1)
+                          or ("stale", f"edit does not match once in {filename}"))
         bad += status != "killed"
         print(f"{status:8}  {name}  ({time.perf_counter() - start:.1f} s): {detail}",
               flush=True)
     print(f"{len(FAULTS) - bad} of {len(FAULTS)} faults killed")
     return 1 if bad else 0
+
+
+def reports_census() -> int:
+    clean = reports(ROOT, dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")))
+    for record in (r for r, ok in clean.items() if not ok):
+        print(f"fails without a fault: {record}")
+    failed = set()
+    bad = 0
+    for name, filename, old, new in FAULTS:
+        start = time.perf_counter()
+        records = run_fault(filename, old, new, reports)
+        if records is None:
+            status, detail = "stale", f"edit does not match once in {filename}"
+        else:
+            failing = [r for r, ok in records.items() if not ok]
+            failed.update(failing)
+            status = "fails" if failing else "silent"
+            detail = ", ".join(failing) or "every check passed"
+        bad += status != "fails"
+        print(f"{status:8}  {name}  ({time.perf_counter() - start:.1f} s): {detail}",
+              flush=True)
+    print(f"{len(FAULTS) - bad} of {len(FAULTS)} faults fail a report check")
+    unfailed = [r for r in clean if r not in failed]
+    print(f"{len(unfailed)} of {len(clean)} records are failed by no fault:")
+    for record in unfailed:
+        print(f"  {record}")
+    return 1 if bad else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--reports", action="store_true",
+                        help="run `all` and `all --order 64` per fault instead of tier-1")
+    return reports_census() if parser.parse_args(argv).reports else tier1_census()
 
 
 if __name__ == "__main__":
