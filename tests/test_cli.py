@@ -442,13 +442,20 @@ class TestJInvariant:
     def statuses(doc):
         return {c["id"]: c["status"] for c in doc["checks"]}
 
-    @pytest.mark.parametrize("order", [1, 2, 8, 16])
+    @pytest.mark.parametrize("order", [3, 8, 16])
     def test_passes_on_the_mirror(self, order, capsys):
         code, doc = run(["mirror-map", "--order", str(order)], capsys)
         assert code == 0
         ids = [c["id"] for c in doc["checks"]]
         assert ids.index("j-invariant") == ids.index("relation-unimodular") - 1
         assert self.statuses(doc)["j-invariant"] == "pass"
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_absent_where_it_has_no_content(self, order, capsys):
+        # at order 1 both sides are 0, and at order 2 only c4(0) enters
+        code, doc = run(["mirror-map", "--order", str(order)], capsys)
+        assert code == 0
+        assert "j-invariant" not in self.statuses(doc)
 
     def test_fails_on_a_perturbed_raw_curve(self, capsys, monkeypatch):
         mirror = fukaya.mirror_weierstrass
@@ -475,4 +482,54 @@ class TestJInvariant:
         monkeypatch.setattr(weierstrass, "tate_coeffs", wrong_a4)
         code, doc = run(["mirror-map"], capsys)
         assert code == 1
-        assert [i for i, s in self.statuses(doc).items() if s != "pass"] == ["coefficient-a6"]
+        # the normalized curve sits in the wrong gauge, so its discriminant is
+        # off by u^-12 as well
+        assert [i for i, s in self.statuses(doc).items() if s != "pass"] == [
+            "coefficient-a6", "discriminant-eta-product"]
+
+
+class TestDiscriminantEta:
+    """Delta of the normalized mirror curve is q * prod(1 - q^n)^24, built from
+    Euler's pentagonal series with no divisor sums."""
+
+    @pytest.mark.parametrize("order", [2, 8, 16, 64])
+    def test_passes_on_the_mirror(self, order, capsys):
+        code, doc = run(["mirror-map", "--order", str(order)], capsys)
+        assert code == 0
+        assert TestJInvariant.statuses(doc)["discriminant-eta-product"] == "pass"
+
+    def test_absent_at_order_one(self, capsys):
+        _, doc = run(["mirror-map", "--order", "1"], capsys)
+        assert "discriminant-eta-product" not in TestJInvariant.statuses(doc)
+
+    def test_a_wrong_a6_target_fails_only_a6(self, capsys, monkeypatch):
+        # a fault on the Tate side's a6 leaves the mirror's discriminant alone
+        tate_coeffs = weierstrass.tate_coeffs
+
+        def wrong_a6(order):
+            a4, a6 = tate_coeffs(order)
+            return a4, a6 + QSeries.make(ZZ, order, [0, 0, 1])
+
+        monkeypatch.setattr(weierstrass, "tate_coeffs", wrong_a6)
+        code, doc = run(["mirror-map"], capsys)
+        assert code == 1
+        statuses = TestJInvariant.statuses(doc)
+        assert [i for i, s in statuses.items() if s != "pass"] == ["coefficient-a6"]
+
+
+class TestCurveRelation:
+    # the golden report pins both records passing at characteristics 0, 2, 3, 5
+    def test_a_flipped_c_x_y_sign_fails_the_node(self, monkeypatch):
+        # y -> -y carries reduction mod y^2 + x*y - x^3 to reduction mod
+        # y^2 - x*y - x^3, the rule y^2 = x^3 + x*y with the wrong sign
+        reduce = hochschild.PlaneCurveRing._reduce
+
+        def flip(terms):
+            return (((a, b), -v if b % 2 else v) for (a, b), v in terms)
+
+        monkeypatch.setattr(hochschild.PlaneCurveRing, "_reduce",
+                            lambda self, pairs: dict(flip(reduce(self, flip(pairs)).items())))
+        checks = {c.id: c for c in cli.run_hochschild_suite(0).checks}
+        assert checks["cusp-curve-relation"].status == "pass"
+        assert checks["node-curve-relation"].status == "fail"
+        assert checks["node-curve-relation"].actual == {(1, 1): 2}
