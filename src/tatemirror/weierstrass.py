@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
 from dataclasses import dataclass
 
 from . import _linalg
@@ -98,7 +99,11 @@ class Reparam:
 
 
 def reparam_apply(g: Reparam, w: WeierstrassCoeffs) -> WeierstrassCoeffs:
-    """Transform coefficients by g; divides by the needed powers of u."""
+    """Transform coefficients by g; divides by the needed powers of u.
+
+    The substitution formulas in nested form, r*a1 and a1 + 2s each formed
+    once: 17 series products, an identity over any commutative ring.
+    """
     u, s, r, t = g.as_tuple()
     a1, a2, a3, a4, a6 = w.as_tuple()
     try:
@@ -107,13 +112,13 @@ def reparam_apply(g: Reparam, w: WeierstrassCoeffs) -> WeierstrassCoeffs:
         raise NonUnitError(f"reparametrization with non-invertible u: {e}") from e
     ui2 = ui * ui
     ui3 = ui2 * ui
-    ui4 = ui2 * ui2
-    ui6 = ui3 * ui3
-    b1 = (a1 + s * 2) * ui
-    b2 = (a2 - s * a1 + r * 3 - s * s) * ui2
-    b3 = (a3 + r * a1 + t * 2) * ui3
-    b4 = (a4 - s * a3 + r * a2 * 2 - (t + r * s) * a1 + r * r * 3 - s * t * 2) * ui4
-    b6 = (a6 + r * a4 + r * r * a2 + r * r * r - t * a3 - t * t - r * t * a1) * ui6
+    ra1 = r * a1
+    e1 = a1 + s * 2
+    b1 = e1 * ui
+    b2 = (a2 - s * (a1 + s) + r * 3) * ui2
+    b3 = (a3 + ra1 + t * 2) * ui3
+    b4 = (a4 - s * (a3 + ra1) + r * (a2 * 2 + r * 3) - t * e1) * (ui2 * ui2)
+    b6 = (a6 + r * (a4 + r * (a2 + r)) - t * (a3 + t + ra1)) * (ui3 * ui3)
     return WeierstrassCoeffs(b1, b2, b3, b4, b6)
 
 
@@ -121,11 +126,12 @@ def reparam_compose(g2: Reparam, g1: Reparam) -> Reparam:
     """The element acting as g1 then g2: apply(compose(g2,g1), w) = apply(g2, apply(g1, w))."""
     u1, s1, r1, t1 = g1.as_tuple()
     u2, s2, r2, t2 = g2.as_tuple()
+    u1sq = u1 * u1
     return Reparam(
         u1 * u2,
         s1 + u1 * s2,
-        r1 + u1 * u1 * r2,
-        t1 + u1 * u1 * s1 * r2 + u1 * u1 * u1 * t2,
+        r1 + u1sq * r2,
+        t1 + u1sq * (s1 * r2 + u1 * t2),
     )
 
 
@@ -220,11 +226,27 @@ def tate_curve(order: int) -> WeierstrassCoeffs:
 # -- normalization to Tate form ---------------------------------------------
 
 def _hensel_normalizer(w: WeierstrassCoeffs):
-    """Order-by-order integral solve of a1'=1, a2'=0, a3'=0.
+    """Order-by-order integral solve of a1'=1, a2'=0, a3'=0, with a balanced lift.
 
     u(0) takes the sign of the odd a1(0); the other sign fails exactly when
     this one does, since s0*(s0 + a1(0)) = (1 - a1(0)^2)/4 for either, so
     r(0), t(0) and both divisibility tests are the same.
+
+    At order m >= 1 the equations are linear in the new unknowns:
+    3r[m] - u0*s[m] = -f2 and a1(0)*r[m] + 2t[m] = -f3, with f2, f3 the
+    residuals of the lower orders.  Their integral solutions are one member
+    plus k*(2, 6*u0, -a1(0)) in (r, s, t)[m], for every integer k, which
+    moves u[m] = a1[m] + 2s[m] by 12*u0*k; the lift takes the k that puts
+    u[m] in [-6, 5]:
+    - every k solves both order-m equations, so each k gives a normal form;
+    - on a normal form f2 = f3 = 0 and a1[m] = 0, so the member with
+      r[m] = 0 has u[m] = 0 and k = 0: normal forms still map to the identity;
+    - two members differ by a normal-form stabilizer, which the a4 slice of
+      ``match_quartic_gauge`` undoes: the sliced curve and the composed
+      reparametrization are the same for every choice of k.
+    The choice keeps the integers small: under members chosen otherwise,
+    such as r[m] in {0, 1} or s[m] in [-3, 2], u follows a1, and u's
+    inverse, with the normal form's a4 and a6, grows several bits per order.
     """
     order = w.a1.order
     a1, a2, a3 = (list(v.coeffs) for v in (w.a1, w.a2, w.a3))
@@ -243,16 +265,19 @@ def _hensel_normalizer(w: WeierstrassCoeffs):
     t = [t0] + [0] * (order - 1)
 
     def conv(x, y, m):
-        return sum(x[i] * y[m - i] for i in range(m + 1))
+        return sum(map(operator.mul, x[:m + 1], y[m::-1]))
 
     for m in range(1, order):
         # residuals of a2 - s*a1 + 3r - s^2 and a3 + r*a1 + 2t at order m, where
         # the order-m unknowns are still zero, so 3r and 2t add nothing
         f2 = a2[m] - conv(s, a1, m) - conv(s, s, m)
         f3 = a3[m] + conv(r, a1, m)
-        r[m] = f3 % 2
+        rm = f3 % 2
+        sm = u0 * (f2 + 3 * rm)
+        k = -u0 * ((a1[m] + 2 * sm + 6) // 12)  # balanced: u[m] in [-6, 5]
+        s[m] = sm + 6 * u0 * k
+        r[m] = rm + 2 * k
         t[m] = (-f3 - a10 * r[m]) // 2
-        s[m] = u0 * (f2 + 3 * r[m])
     u = QSeries.make(ZZ, order, a1) + QSeries.make(ZZ, order, s) * 2
     return Reparam(u, QSeries.make(ZZ, order, s),
                    QSeries.make(ZZ, order, r), QSeries.make(ZZ, order, t))
@@ -299,7 +324,7 @@ def _lift_quadratic(d: QSeries, c: int) -> QSeries:
     """The unique x with x(0) = 0 and x + c*x^2 = d, for d(0) = 0, order by order over Z."""
     x = [0] * d.order
     for m in range(1, d.order):
-        x[m] = d.coeffs[m] - c * sum(x[i] * x[m - i] for i in range(1, m))
+        x[m] = d.coeffs[m] - c * sum(map(operator.mul, x[1:m], x[m - 1:0:-1]))
     return QSeries.make(ZZ, d.order, x)
 
 

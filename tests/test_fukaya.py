@@ -307,6 +307,18 @@ class TestSeidelMirror:
         assert weierstrass.reparam_apply(res.reparam, res.raw) == res.curve
         assert res.unit.coeffs[0] == -1
 
+    @pytest.mark.parametrize("order", [64, 128])
+    def test_normalizer_gauge_is_no_wider_than_the_raw_curve(self, order):
+        # the order-by-order lift keeps its integers near the raw curve's, and
+        # not growing with the order: at most 8 bits above raw's widest
+        raw = fukaya.mirror_weierstrass(order).raw
+        g, _ = weierstrass.tate_normalize(raw)
+
+        def width(series):
+            return max(abs(c).bit_length() for v in series for c in v.coeffs)
+
+        assert width(g.as_tuple()) <= width(raw.as_tuple()) + 8
+
 
 class TestGaugeFreeMirrorInvariants:
     # a4 is pinned by the gauge slice, so these invariants are the evidence

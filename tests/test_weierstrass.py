@@ -95,6 +95,85 @@ class TestReparamCompose:
             assert lhs == rhs
 
 
+def substituted_cubic(g, w):
+    """The cubic y^2 + a1*x*y + a3*y - x^3 - a2*x^2 - a4*x - a6 of w after
+    x = u^2*x' + r and y = u^3*y' + u^2*s*x' + t, expanded by plain polynomial
+    arithmetic into {(i, j): series coefficient of x'^i y'^j}."""
+    def add(*polys):
+        out = {}
+        for poly in polys:
+            for mono, c in poly.items():
+                out[mono] = out[mono] + c if mono in out else c
+        return out
+
+    def mul(p1, p2):
+        return add(*({(i1 + i2, j1 + j2): c1 * c2}
+                     for (i1, j1), c1 in p1.items() for (i2, j2), c2 in p2.items()))
+
+    def neg(poly):
+        return {mono: -c for mono, c in poly.items()}
+
+    u, s, r, t = g.as_tuple()
+    a1, a2, a3, a4, a6 = ({(0, 0): v} for v in w.as_tuple())
+    u2 = u * u
+    x = {(1, 0): u2, (0, 0): r}
+    y = {(0, 1): u2 * u, (1, 0): u2 * s, (0, 0): t}
+    xx = mul(x, x)
+    return add(mul(y, y), mul(a1, mul(x, y)), mul(a3, y), neg(mul(xx, x)),
+               neg(mul(a2, xx)), neg(mul(a4, x)), neg(a6))
+
+
+def oracle_apply(g, w):
+    """Read b1..b6 off the substituted cubic, which must be u^6 times
+    y'^2 + b1*x'*y' + b3*y' - x'^3 - b2*x'^2 - b4*x' - b6."""
+    poly = substituted_cubic(g, w)
+    zero = QSeries.zero(w.ring, w.a1.order)
+    u6 = g.u * g.u * g.u * g.u * g.u * g.u
+    assert poly.pop((0, 2)) == u6 and poly.pop((3, 0)) == -u6
+    scale = u6.invert()
+    signs = {(1, 1): 1, (2, 0): -1, (0, 1): 1, (1, 0): -1, (0, 0): -1}
+    b1, b2, b3, b4, b6 = (poly.pop(mono, zero) * (scale * sign)
+                          for mono, sign in signs.items())
+    assert all(c.is_zero() for c in poly.values())
+    return ws.WeierstrassCoeffs(b1, b2, b3, b4, b6)
+
+
+class TestReparamApplyOracle:
+    # the substitution itself, expanded, against reparam_apply's closed formulas
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_integral_series(self, order):
+        rng = random.Random(700 + order)
+
+        def series(head=None):
+            tail = [rng.randint(-9, 9) for _ in range(order)]
+            return QSeries.make(ZZ, order, tail if head is None else [head] + tail[1:])
+
+        for _ in range(12):
+            g = ws.Reparam(series(rng.choice([1, -1])), series(), series(), series())
+            w = ws.WeierstrassCoeffs(*(series() for _ in range(5)))
+            assert ws.reparam_apply(g, w) == oracle_apply(g, w)
+
+    @pytest.mark.parametrize("fld", [QQ, GF(2), GF(3), GF(5)], ids=repr)
+    def test_order_two_over_fields(self, fld):
+        rng = random.Random(710 + fld.characteristic)
+
+        def value():
+            if fld is QQ:
+                return Fraction(rng.randint(-20, 20), rng.randint(1, 6))
+            return rng.randint(-20, 20)
+
+        def series(unit=False):
+            head = value()
+            while unit and fld.coerce(head) == fld.zero():
+                head = value()
+            return QSeries.make(fld, 2, [head, value()])
+
+        for _ in range(40):
+            g = ws.Reparam(series(unit=True), series(), series(), series())
+            w = ws.WeierstrassCoeffs(*(series() for _ in range(5)))
+            assert ws.reparam_apply(g, w) == oracle_apply(g, w)
+
+
 class TestDiscriminant:
     def test_nodal_cubic(self):
         delta, c4 = ws.discriminant(zcurve([1, 0, 0, 0, 0]))

@@ -6,10 +6,14 @@ Each fault is one exact text edit to a file under ``src/tatemirror``, planted
 once: ``src/``, ``tests/`` and ``pyproject.toml`` are copied to a temporary
 directory and the edit is applied there.  On that copy the tier-1 tests run
 with ``-x``; the fault is killed when the run fails, and the first failing
-test is printed.  Then ``tatemirror all`` and ``tatemirror all --order 64``
-run on the same copy, and the check records (``suite[char=p]/id``) that fail
-in either report are printed; the fault is silent when both reports pass.  A
-fault may carry a one-line reason why no report should see it.
+test is printed.  Each fault names the test that killed it in the last
+census, and that test runs first: when it fails, it is the printed failure
+and the full run is skipped; when it passes or is no longer found, the full
+``-x`` run decides as before.  Then ``tatemirror all`` and ``tatemirror all
+--order 64`` run on the same copy, and the check records
+(``suite[char=p]/id``) that fail in either report are printed; the fault is
+silent when both reports pass.  A fault may carry a one-line reason why no
+report should see it.
 
 The census first runs both reports on the working tree and prints any record
 that fails there; it ends with the records that no fault fails.  The exit
@@ -33,96 +37,139 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TIMEOUT_S = 900
 REPORT_RUNS = (["all"], ["all", "--order", "64"])
 
-# (name, file under src/tatemirror, exact old text, new text[, why no report sees it])
+# (name, file under src/tatemirror, exact old text, new text, the test that killed
+#  it in the last census[, why no report sees it])
 FAULTS = [
     ("eps tie-break flipped on the p1 edge in count_perturbed", "lattice.py",
-     "c1 = -(-n1 * u1 // den)", "c1 = n1 * u1 // den + 1"),
+     "c1 = -(-n1 * u1 // den)", "c1 = n1 * u1 // den + 1",
+     "tests/test_acceptance.py::test_criterion_1_lattice_point_counts"),
     ("one term of _row_count", "lattice.py",
-     "D * n * q2 * q2 + 2 * R * q", "D * n * q2 * q2 - 2 * R * q"),
+     "D * n * q2 * q2 + 2 * R * q", "D * n * q2 * q2 - 2 * R * q",
+     "tests/test_acceptance.py::test_criterion_1_lattice_point_counts"),
     ("sigma5 -> sigma3 in tate_coeffs", "weierstrass.py",
-     "s5 = divisor_power_sum(5, n)", "s5 = divisor_power_sum(3, n)"),
+     "s5 = divisor_power_sum(5, n)", "s5 = divisor_power_sum(3, n)",
+     "tests/test_acceptance.py::test_criterion_4_seidel_mirror_map"),
     ("one sign in reparam_apply's b4", "weierstrass.py",
-     "r * r * 3 - s * t * 2) * ui4", "r * r * 3 + s * t * 2) * ui4"),
+     "- t * e1) * (ui2 * ui2)", "+ t * e1) * (ui2 * ui2)",
+     "tests/test_acceptance.py::test_criterion_4_seidel_mirror_map"),
     ("% p dropped from Ring.mul", "exactnum.py",
      "return (a * b) % self.p if self.kind == \"GF\" else a * b", "return a * b",
+     "tests/test_exactnum.py::test_reduction_commutes_with_arithmetic",
      "equivalent on every report path: a later add, sub or product reduces each result,"
      " and lie-brackets' bare fld.mul scales a residue by 0 or 1"),
     ("_global_sign accepts any s", "cli.py",
      "if all(computed[key] == [fld.coerce(s * v) for v in want]",
-     "if s or all(computed[key] == [fld.coerce(s * v) for v in want]"),
+     "if s or all(computed[key] == [fld.coerce(s * v) for v in want]",
+     "tests/test_acceptance.py::test_criterion_7_lie_bracket_layer"),
     ("j_window shrunk to a third", "theta.py",
      "return math.isqrt(2 * n3 * (order + n3) // (n1 * n2)) + 2",
-     "return (math.isqrt(2 * n3 * (order + n3) // (n1 * n2)) + 2) // 3"),
+     "return (math.isqrt(2 * n3 * (order + n3) // (n1 * n2)) + 2) // 3",
+     "tests/test_acceptance.py::test_criterion_1_lattice_point_counts"),
     ("Koszul boundary multiples left out of the stack", "hochschild.py",
      "boundary = _multiple_rows(ring, [(fy, ring.scale(fx, -1))], source, columns)",
-     "boundary = []"),
+     "boundary = []",
+     "tests/test_acceptance.py::test_criterion_6_hochschild_tables"),
     ("f*(f-1) -> f*(f+1) in lambda_exp", "theta.py",
-     "whole += n * f * (f - 1) // 2", "whole += n * f * (f + 1) // 2"),
+     "whole += n * f * (f - 1) // 2", "whole += n * f * (f + 1) // 2",
+     "tests/test_acceptance.py::test_criterion_1_lattice_point_counts"),
     ("+ 1 dropped from j_range's upper bound", "theta.py",
      "num // den + jmax + 1)", "num // den + jmax)",
+     "tests/test_theta.py::TestIntegerKernels::test_j_range_equals_fraction_bounds",
      "equivalent: with j_window's + 2 margin the top shift it drops never has an"
      " exponent below the order"),
     ("floor instead of ceil for the mean in star_count", "fukaya.py",
      "abs(math.ceil(mean) - math.ceil(p1))", "abs(math.floor(mean) - math.ceil(p1))",
+     "tests/test_fukaya.py::TestEnumerateTriangles::test_unit_square_contributions",
      "star_count is on no product path"),
     ("abs dropped from one star term", "fukaya.py",
      "abs(math.ceil(mean) - math.ceil(p1)) +", "(math.ceil(mean) - math.ceil(p1)) +",
+     "tests/test_fukaya.py::TestStarCount::test_parity_always_even",
      "star_count is on no product path"),
     ("coefficient product dropped in bilinear", "theta.py",
-     "c12 = c1 * c2", "c12 = c1"),
+     "c12 = c1 * c2", "c12 = c1",
+     "tests/test_acceptance.py::test_criterion_3_dehn_twist_table"),
     ("du dropped from the dual-number u in lie_vector_field", "weierstrass.py",
-     "[[1, xi.du], [0, xi.ds]", "[[1, 0], [0, xi.ds]"),
+     "[[1, xi.du], [0, xi.ds]", "[[1, 0], [0, xi.ds]",
+     "tests/test_acceptance.py::test_criterion_7_lie_bracket_layer"),
     ("bool check dropped from Ring.coerce", "exactnum.py",
      "if isinstance(x, bool):\n            raise TypeError(\"bool is not a ring element\")\n"
      "        if self.kind == \"ZZ\":", "if self.kind == \"ZZ\":",
+     "tests/test_exactnum.py::TestScalar::test_bool_rejected_in_every_ring[ring0]",
      "input validation that no report feeds"),
     ("stale shift table read above its order", "theta.py",
-     "if row is None or row[0] < order:", "if row is None:"),
+     "if row is None or row[0] < order:", "if row is None:",
+     "tests/test_tables.py::test_any_visiting_order_gives_the_cold_products[section]"),
     ("extension window off by one", "theta.py",
-     "row[1] + len(row) - 3", "row[1] + len(row) - 2"),
+     "row[1] + len(row) - 3", "row[1] + len(row) - 2",
+     "tests/test_acceptance.py::test_criterion_8d_product_associativity"),
     ("old window re-read one place late", "theta.py",
-     "+ row[2:]", "+ row[3:]"),
+     "+ row[2:]", "+ row[3:]",
+     "tests/test_acceptance.py::test_criterion_8d_product_associativity"),
     ("right side of the nested-window guard dropped", "theta.py",
      "if window.start > lo or window.stop <= hi:", "if window.start > lo:",
+     "tests/test_tables.py::test_a_window_that_is_not_nested_is_an_invariant_error",
      "unreachable while windows nest, as every j_range window does"),
     ("n1 for n2 in bilinear's target slot", "theta.py",
-     "(m1 + m2 + n2 * j)", "(m1 + m2 + n1 * j)"),
+     "(m1 + m2 + n2 * j)", "(m1 + m2 + n1 * j)",
+     "tests/test_acceptance.py::test_criterion_3_dehn_twist_table"),
     ("% p dropped from the GF series add", "exactnum.py",
-     "tuple(c % p for c in coeffs)", "tuple(coeffs)"),
+     "tuple(c % p for c in coeffs)", "tuple(coeffs)",
+     "tests/test_acceptance.py::test_criterion_7_lie_bracket_layer"),
     ("minus sign dropped on the pivot entries of an integer kernel vector", "_linalg.py",
-     "v[c] = -row[f] * (v[f] // row[c])", "v[c] = row[f] * (v[f] // row[c])"),
+     "v[c] = -row[f] * (v[f] // row[c])", "v[c] = row[f] * (v[f] // row[c])",
+     "tests/test_acceptance.py::test_criterion_6_hochschild_tables"),
     ("bool let through PlaneCurveRing's int fast path", "hochschild.py",
      "keep = type(coeff) is int and", "keep = isinstance(coeff, int) and",
+     "tests/test_hochschild.py::TestNormalForm::test_bool_coefficient_rejected[0]",
      "input validation that no report feeds"),
     ("compose orders swapped in lie_bracket", "weierstrass.py",
      "zip(reparam_compose(h, g).as_tuple(), reparam_compose(g, h).as_tuple())",
-     "zip(reparam_compose(g, h).as_tuple(), reparam_compose(h, g).as_tuple())"),
+     "zip(reparam_compose(g, h).as_tuple(), reparam_compose(h, g).as_tuple())",
+     "tests/test_acceptance.py::test_criterion_7_lie_bracket_layer"),
     ("sign of the x* image of x*y* flipped in the dga table", "hochschild.py",
-     "(\"x*\", ring.scale(fy, -1))", "(\"x*\", fy)"),
+     "(\"x*\", ring.scale(fy, -1))", "(\"x*\", fy)",
+     "tests/test_cli.py::TestReports::test_all_matches_the_golden_report"),
     ("first-term test dropped in bilinear, so a term overwrites its slot", "theta.py",
-     "out[target] = term if held is zero else held + term", "out[target] = term"),
+     "out[target] = term if held is zero else held + term", "out[target] = term",
+     "tests/test_acceptance.py::test_criterion_3_dehn_twist_table"),
     ("shift truncates one coefficient late through _series", "exactnum.py",
-     "self.coeffs[: max(self.order - m, 0)]", "self.coeffs[: max(self.order - m + 1, 0)]"),
+     "self.coeffs[: max(self.order - m, 0)]", "self.coeffs[: max(self.order - m + 1, 0)]",
+     "tests/test_acceptance.py::test_criterion_4_seidel_mirror_map"),
     ("j and q_exponent swapped in ImmersedTriangle", "fukaya.py",
-     "    j: int\n    q_exponent: int\n", "    q_exponent: int\n    j: int\n"),
+     "    j: int\n    q_exponent: int\n", "    q_exponent: int\n    j: int\n",
+     "tests/test_acceptance.py::test_criterion_2_mirror_product_identity"),
     ("node check dropped from tate_normalize", "weierstrass.py",
      "if fiber is not Fiber.NODE:", "if False:",
+     "tests/test_weierstrass.py::TestTateNormalize::test_smooth_fiber_rejected",
      "the mirror's raw curve always satisfies it"),
     ("divisibility by 3 dropped from the normalizer's q = 0 step", "weierstrass.py",
      "if num % 3 or tnum % 2:", "if tnum % 2:",
+     "tests/test_weierstrass.py::TestTateNormalize::test_nodal_fiber_without_integral_lift[values1]",
      "the mirror's raw curve always satisfies it"),
     ("Koszul stabilization check dropped", "hochschild.py",
      "if lo != hi:", "if False:",
+     "tests/test_hochschild.py::TestTjurina::test_undersized_window_raises",
      "it never fires at the reports' bounds"),
     ("top weight dropped from monomials", "hochschild.py",
      "range(max_weight + 1)", "range(max_weight)",
+     "tests/test_hochschild.py::TestMonomials::test_one_per_weight_equals_the_sorted_candidates",
      "every window shrinks by one weight, and the answers are stable"),
     ("a4 target off by one at every positive order, absorbed by the gauge", "weierstrass.py",
-     "a4.append(-5 * s3)", "a4.append(-5 * s3 + 1)"),
+     "a4.append(-5 * s3)", "a4.append(-5 * s3 + 1)",
+     "tests/test_acceptance.py::test_criterion_4_seidel_mirror_map"),
     ("one c4 factor dropped from the j check", "cli.py",
-     "c4 * c4 * c4 * (e4_cubed", "c4 * c4 * (e4_cubed"),
+     "c4 * c4 * c4 * (e4_cubed", "c4 * c4 * (e4_cubed",
+     "tests/test_cli.py::TestReports::test_all_matches_the_golden_report"),
     ("sign of the c*x*y term flipped in the curve ring's reduction", "hochschild.py",
-     "stack.append(((a + 1, b - 1), -coeff))", "stack.append(((a + 1, b - 1), coeff))"),
+     "stack.append(((a + 1, b - 1), -coeff))", "stack.append(((a + 1, b - 1), coeff))",
+     "tests/test_cli.py::TestReports::test_all_matches_the_golden_report"),
+    ("balanced rounding dropped in _hensel_normalizer", "weierstrass.py",
+     "k = -u0 * ((a1[m] + 2 * sm + 6) // 12)", "k = 0",
+     "tests/test_fukaya.py::TestSeidelMirror::test_normalizer_gauge_is_no_wider_than_the_raw_curve[64]",
+     "the a4 slice is unique, so no report sees the lift"),
+    ("sign of the x^3 term flipped in the curve ring's y^2 rewrite", "hochschild.py",
+     "stack.append(((a + 3, b - 2), coeff))", "stack.append(((a + 3, b - 2), -coeff))",
+     "tests/test_acceptance.py::test_criterion_6_hochschild_tables"),
 ]
 
 
@@ -137,7 +184,7 @@ def _env(tree: str) -> dict:
     return dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
 
 
-def run_fault(filename: str, old: str, new: str):
+def run_fault(filename: str, old: str, new: str, killer: str):
     """Plant one fault in a temporary copy and return (tier1, reports) of that
     copy, or None when the edit does not match exactly once."""
     with tempfile.TemporaryDirectory(prefix="tatemirror-fault-") as tmp:
@@ -152,22 +199,23 @@ def run_fault(filename: str, old: str, new: str):
             return None
         with open(path, "w") as fh:
             fh.write(text.replace(old, new))
-        return tier1(tmp), reports(tmp)
+        return tier1(tmp, killer), reports(tmp)
 
 
-def tier1(tree: str) -> tuple:
+def tier1(tree: str, killer: str) -> tuple:
     """Tier-1 with -x on the tree: ("killed", first failing test) or
-    ("survived", ...)."""
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-           "--continue-on-collection-errors"]
-    try:
-        proc = subprocess.run(cmd, cwd=tree, env=_env(tree), capture_output=True,
-                              text=True, timeout=TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        return "killed", f"timed out after {TIMEOUT_S} s"
-    if proc.returncode == 0:
-        return "survived", "every tier-1 test passed"
-    return "killed", _first_failure(proc.stdout + proc.stderr)
+    ("survived", ...).  ``killer`` runs alone first and settles the verdict
+    only when it fails (exit status 1); otherwise the full run decides."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+    for args, decides in (([killer], False), (["--continue-on-collection-errors"], True)):
+        try:
+            proc = subprocess.run(cmd + args, cwd=tree, env=_env(tree), capture_output=True,
+                                  text=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return "killed", f"timed out after {TIMEOUT_S} s"
+        if proc.returncode == 1 or decides and proc.returncode:
+            return "killed", _first_failure(proc.stdout + proc.stderr)
+    return "survived", "every tier-1 test passed"
 
 
 def reports(tree: str) -> dict:
@@ -199,9 +247,9 @@ def census() -> int:
     for record in (r for r, ok in clean.items() if not ok):
         print(f"fails without a fault: {record}")
     failed, killed, loud, bad = set(), 0, 0, 0
-    for name, filename, old, new, *reason in FAULTS:
+    for name, filename, old, new, killer, *reason in FAULTS:
         start = time.perf_counter()
-        judged = run_fault(filename, old, new)
+        judged = run_fault(filename, old, new, killer)
         if judged is None:
             bad += 1
             print(f"stale     {name}: edit does not match once in {filename}", flush=True)
