@@ -153,10 +153,24 @@ def run_theta_suite(order: int = 10, max_degree: int = 12):
 
 @_suite("dehn-table")
 def run_dehn_suite():
-    """The seven exact products and the degree-6 relation at q = 0."""
-    for rec in fukaya.dehn_table_q0():
+    """The seven exact products and the degree-6 relation at q = 0.
+
+    Before the relation, three Floer products (``fukaya.floer_product``) are
+    checked against the section ring (``theta.theta_mul``) at q = 0; the
+    Floer side's table never reads the section ring itself."""
+    *table, relation = fukaya.dehn_table_q0()
+    for rec in table:
         yield (rec["id"], "exact-twist-ring-table", rec["status"] == "pass",
                rec["expected"], rec["actual"])
+    basis = theta.ThetaElement.basis
+    for label, (n1, p1), (n2, p2) in (
+            ("z'^2", (1, 0), (1, 0)), ("z'*zeta1", (1, 0), (2, Fraction(1, 2))),
+            ("eta1*eta2", (3, Fraction(1, 3)), (3, Fraction(2, 3)))):
+        want = theta.theta_mul(basis(n1, p1, 1), basis(n2, p2, 1)).q0_map()
+        got = fukaya.floer_product(n1, p1, n2, p2, 1).q0_map()
+        yield f"{label} matches section ring", "exact-twist-ring-table", got == want, want, got
+    yield (relation["id"], "exact-twist-ring-table", relation["status"] == "pass",
+           relation["expected"], relation["actual"])
 
 
 @_suite("mirror-map")

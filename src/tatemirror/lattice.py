@@ -1,117 +1,24 @@
 """Counting perturbed lattice points in product triangles.
 
 A perturbed lattice point is a point congruent to (eps, eps) mod Z^2 for an
-infinitesimal eps > 0.  The infinitesimal is handled symbolically: quantities
-are pairs (value, eps-coefficient) ordered lexicographically, so no boundary
-case ever depends on a numeric epsilon.  These counts are the independent
-oracle for the q-exponents of the section ring and the Floer products.
+infinitesimal eps > 0.  Every edge has integer slope, so which side of it a
+perturbed point lies on is decided on integers (see ``count_perturbed``), and
+no boundary case ever depends on a numeric epsilon.  These counts are the
+independent oracle for the q-exponents of the section ring and the Floer
+products.
 
 ``count_perturbed`` is the production kernel: it clears denominators once and
 sums the columns in closed form on integer vertices only.
 ``row_formula_count`` is an independent oracle, a closed formula over the rows
-on the same cleared integers that shares no code with it.
-``PerturbedTriangle``, ``EpsRational`` and ``count_perturbed_reference`` are
-the Fraction oracles, and share no vertex code with either.
+on the same cleared integers that shares no code with it.  The point-by-point
+Fraction scan with a symbolic eps lives beside the tests, in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
-
-
-@total_ordering
-@dataclass(frozen=True, slots=True)
-class EpsRational:
-    """value + eps * coeff for an infinitesimal eps > 0."""
-
-    value: Fraction
-    eps: Fraction
-
-    @staticmethod
-    def of(value, eps=0) -> "EpsRational":
-        return EpsRational(Fraction(value), Fraction(eps))
-
-    def __add__(self, other):
-        other = _as_eps(other)
-        return EpsRational(self.value + other.value, self.eps + other.eps)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_eps(other)
-        return EpsRational(self.value - other.value, self.eps - other.eps)
-
-    def __neg__(self):
-        return EpsRational(-self.value, -self.eps)
-
-    def __mul__(self, other):
-        """Scaling by an exact rational (eps^2 never arises here)."""
-        other = Fraction(other)
-        return EpsRational(self.value * other, self.eps * other)
-
-    __rmul__ = __mul__
-
-    def __lt__(self, other):
-        other = _as_eps(other)
-        return (self.value, self.eps) < (other.value, other.eps)
-
-    def sign(self) -> int:
-        if self.value:
-            return 1 if self.value > 0 else -1
-        if self.eps:
-            return 1 if self.eps > 0 else -1
-        return 0
-
-
-def _as_eps(x) -> EpsRational:
-    if isinstance(x, EpsRational):
-        return x
-    return EpsRational(Fraction(x), Fraction(0))
-
-
-def perturbed(a: int, b: int):
-    """The perturbed lattice point (a + eps, b + eps)."""
-    return (EpsRational.of(a, 1), EpsRational.of(b, 1))
-
-
-@dataclass(frozen=True)
-class PerturbedTriangle:
-    """The triangle with vertices (p1, 0), (p2, -n1*(p2-p1)), (mean, 0)."""
-
-    n1: int
-    p1: Fraction
-    n2: int
-    p2: Fraction
-
-    @property
-    def vertices(self):
-        p1, p2 = Fraction(self.p1), Fraction(self.p2)
-        mean = (p1 * self.n1 + p2 * self.n2) / (self.n1 + self.n2)
-        return ((p1, Fraction(0)),
-                (p2, -self.n1 * (p2 - p1)),
-                (mean, Fraction(0)))
-
-    def signed_area2(self) -> Fraction:
-        (x0, y0), (x1, y1), (x2, y2) = self.vertices
-        return (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
-
-    def contains(self, point) -> bool:
-        """Strict interior test for a point with EpsRational coordinates."""
-        area2 = self.signed_area2()
-        if area2 == 0:
-            return False
-        orient = 1 if area2 > 0 else -1
-        px, py = (_as_eps(point[0]), _as_eps(point[1]))
-        verts = self.vertices
-        for i in range(3):
-            (xa, ya), (xb, yb) = verts[i], verts[(i + 1) % 3]
-            cross = (py - ya) * (xb - xa) - (px - xa) * (yb - ya)
-            if cross.sign() != orient:
-                return False
-        return True
 
 
 def _column_sum(slope: int, offset: int, first: int, stop: int) -> int:
@@ -158,21 +65,6 @@ def count_perturbed(n1: int, p1, n2: int, p2) -> int:
     first, stop = -(-u2 // den), -(-u1 // den)
     return (_column_sum(n2, c1 - c3, first, mid)
             + _column_sum(-n1, c1, mid, stop))
-
-
-def count_perturbed_reference(n1: int, p1, n2: int, p2) -> int:
-    """Point-by-point interior scan; slow cross-check for count_perturbed."""
-    tri = PerturbedTriangle(n1, Fraction(p1), n2, Fraction(p2))
-    if tri.signed_area2() == 0:
-        return 0
-    xs = [v[0] for v in tri.vertices]
-    ys = [v[1] for v in tri.vertices]
-    count = 0
-    for a in range(math.floor(min(xs)), math.ceil(max(xs)) + 1):
-        for b in range(math.floor(min(ys)), math.ceil(max(ys)) + 1):
-            if tri.contains(perturbed(a, b)):
-                count += 1
-    return count
 
 
 def _row_count(n: int, q: int, R: int, P: int, q2: int, D: int) -> int:

