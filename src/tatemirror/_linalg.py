@@ -4,6 +4,17 @@ Matrices are lists of row lists of raw field values.  QQ and GF(p) share one
 integer elimination, ``echelon``, which never scales a pivot: its QQ rows are
 primitive lists of ``int``.  ``rank`` and ``kernel`` stay integral; only
 ``rref``, ``nullspace`` and ``solve_right`` divide, returning QQ ``Fraction``s.
+
+``echelon`` decides the elimination order alone: it drops zero rows and takes
+the rest by first nonzero column, so a pivot row meets only rows that start at
+or after its column and fills few of them.  Lemma: the order changes nothing a
+caller reads.  Column c is a pivot iff it is outside the span of the columns
+before it, which no row permutation changes; and the reduced rows are the
+unique reduced echelon basis of the row space, each times a nonzero scalar
+(+-1 over QQ, the rows being primitive).  So ``rref``, ``nullspace``,
+``reduce_mod_span`` residues and the QQ ``kernel`` vectors (its formula is
+invariant under a row's sign) do not depend on the order of the input rows;
+over GF(p) a ``kernel`` vector may change by a nonzero scalar.
 """
 
 from __future__ import annotations
@@ -28,11 +39,21 @@ def _over(row, a, ring: Ring):
     return [Fraction(x, a) if x else zero for x in row]
 
 
+def _lead(row):
+    return next(c for c, x in enumerate(row) if x)
+
+
 def echelon(rows, ring: Ring):
     """Reduced echelon form with unscaled pivots.  Returns (nonzero_rows, pivot_columns).
 
-    Each step sets a row to a*row - b*pivot over the integers, then divides it
-    by its gcd (QQ, denominators cleared unless all ``int``) or reduces it mod p.
+    Rows are cleared to primitive ints (QQ) or reduced mod p, zero rows are
+    dropped and the rest stable-sorted by first nonzero column.  Each step then
+    sets a row to a*row - b*pivot over the integers, then divides it by its gcd
+    (QQ, denominators cleared unless all ``int``) or reduces it mod p.
+
+    The sort changes no output up to a scalar per row: the pivots are the
+    columns outside the span of the columns before them, and the rows are the
+    unique reduced echelon basis, each times a nonzero scalar (+-1 over QQ).
     """
     p = ring.characteristic
 
@@ -43,6 +64,7 @@ def echelon(rows, ring: Ring):
         return _primitive([x.numerator * (d // x.denominator) for x in row])
 
     m = [[x % p for x in row] if p else integral(row) for row in rows]
+    m = sorted((row for row in m if any(row)), key=_lead)
     pivots = []
     for c in range(len(m[0]) if m else 0):
         r = len(pivots)

@@ -206,10 +206,9 @@ def _koszul_at(ring: PlaneCurveRing, report_weight: int) -> list:
     """
     fx, fy = ring.f_x(), ring.f_y()
     source = ring.monomials(report_weight)
-    # kernel of (alpha1, alpha2) -> alpha1*f_x + alpha2*f_y on the window,
-    # rows by ascending weight: a quarter of the row updates of descending order
+    # kernel of (alpha1, alpha2) -> alpha1*f_x + alpha2*f_y on the window
     matrix = _linalg.transpose(_multiple_rows(
-        ring, [(fx,), (fy,)], source, _columns(ring, report_weight, 1)))[::-1]
+        ring, [(fx,), (fy,)], source, _columns(ring, report_weight, 1)))
     kernel = [tuple({source[i]: v for i, v in enumerate(half) if v}
                     for half in (vec[: len(source)], vec[len(source):]))
               for vec in _linalg.kernel(matrix, ring.field)]

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-import oracles
 from tatemirror import cli, fukaya, lattice, theta, weierstrass
 from tatemirror.errors import VerificationFailure
 from tatemirror.exactnum import ZZ, QSeries, divisor_power_sum
@@ -156,7 +155,6 @@ class TestFloerIndependence:
             raise AssertionError("section-ring exponent used on the Floer side")
 
         monkeypatch.setattr(theta, "lambda_exp", forbidden)
-        monkeypatch.setattr(oracles, "phi", forbidden)
         with pytest.raises(AssertionError):
             theta.theta_mul(theta.ThetaElement.basis(1, 0, 2),
                             theta.ThetaElement.basis(1, 0, 2))

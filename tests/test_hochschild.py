@@ -241,6 +241,21 @@ class TestKoszulStack:
             hh._koszul_at(ring, 20)
             assert len(calls) == 2
 
+    # row normalizations of the node's eliminations at weight 28 over QQ: 165 and
+    # 311 with rows taken by leading column, 975 and 1006 in the order built
+    @pytest.mark.parametrize("build, bound", [(hh._Span, 165), (hh._koszul_at, 311)])
+    def test_node_eliminations_fill_few_rows(self, monkeypatch, build, bound):
+        calls = []
+        original = _linalg._primitive
+
+        def counting(row):
+            calls.append(row)
+            return original(row)
+
+        monkeypatch.setattr(_linalg, "_primitive", counting)
+        build(rings(0)[1], 28)
+        assert len(calls) <= bound
+
     @pytest.mark.parametrize("char", (0, 2, 3, 5, 7, 2**61 - 1))
     def test_suite_passes_at_bound_18(self, char):
         from tatemirror import cli

@@ -137,6 +137,27 @@ class TestEchelon:
         assert kernel([[2, 4], [1, 2]], GF(7)) == [[3, 2]]
 
 
+class TestRowOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(matrices(), st.data())
+    def test_outputs_do_not_depend_on_row_order_or_zero_rows(self, case, data):
+        ring, ncols, rows = case
+        moved = data.draw(st.permutations(rows))
+        for _ in range(data.draw(st.integers(0, 2 if rows else 0))):
+            moved.insert(data.draw(st.integers(0, len(moved))), [0] * ncols)
+        vec = [ring.coerce(data.draw(entries(ring))) for _ in range(ncols)]
+
+        def residue(m):
+            return reduce_mod_span(*echelon(m, ring), vec, ring)
+
+        assert echelon(moved, ring)[1] == echelon(rows, ring)[1]
+        assert rref(moved, ring) == rref(rows, ring)
+        assert nullspace(moved, ring) == nullspace(rows, ring)
+        if ring is QQ:
+            assert kernel(moved, ring) == kernel(rows, ring)
+        assert residue(moved) == residue(rows)
+
+
 class TestNullspaceAndSolve:
     @settings(max_examples=200, deadline=None)
     @given(matrices())

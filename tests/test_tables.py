@@ -10,7 +10,6 @@ from fractions import Fraction
 
 import pytest
 
-import oracles
 from tatemirror import fukaya, lattice, theta
 from tatemirror.errors import InvariantError
 
@@ -117,7 +116,7 @@ def test_each_table_is_built_from_its_own_kernel_only(monkeypatch, cold_tables):
                 for pair in SLOT_PAIRS} == section
     cold_tables()
     with monkeypatch.context() as patch:
-        _forbid(patch, (theta, "lambda_exp"), (oracles, "phi"), (oracles, "psi"))
+        _forbid(patch, (theta, "lambda_exp"))
         assert {pair: list(fukaya._floer_terms(*pair, MAX_ORDER))
                 for pair in SLOT_PAIRS} == floer
         with pytest.raises(AssertionError, match="kernel"):
