@@ -10,7 +10,8 @@ weight 2 and y of weight 3; for the cusp f is homogeneous of weight 6 and
 everything is graded.
 
 Over QQ a coefficient is an ``int`` wherever it is integral, so the spans and
-kernels below run on ``_linalg``'s integer elimination.
+kernels below run on ``_linalg``'s integer elimination, with every row a dict
+{column: coefficient} of its few nonzero entries.
 
 Even cohomology of the curve ring is carried by the Tjurina algebra
 T = R/(f_x, f_y), odd cohomology by the middle homology of the two-step
@@ -121,15 +122,25 @@ class PlaneCurveRing:
 
 # -- bounded-degree quotient machinery ---------------------------------------
 
-def _vector(index: dict, element):
-    """Coordinates of an element of R^k; column (side, mono) holds one coefficient."""
-    vec = [0] * len(index)
+def _vector(index: dict, element) -> dict:
+    """Coordinates {column: coefficient} of an element of R^k; column (side, mono)
+    holds one coefficient."""
+    vec = {}
     for side, comp in enumerate(element):
         for mono, coeff in comp.items():
             if (side, mono) not in index:
                 raise ValueError(f"monomial {mono} exceeds the weight window")
             vec[index[(side, mono)]] = coeff
     return vec
+
+
+def _transpose(rows) -> list:
+    """The columns of dict rows that hold an entry, as dict rows, by column."""
+    cols = {}
+    for i, row in enumerate(rows):
+        for c, x in row.items():
+            cols.setdefault(c, {})[i] = x
+    return [cols[c] for c in sorted(cols)]
 
 
 def _columns(ring: PlaneCurveRing, report_weight: int, k: int) -> list:
@@ -174,7 +185,7 @@ class _Span:
         """Residue of the polynomial p modulo the span."""
         vec = _vector(self.index, [self.ring.normal_form(p)])
         red = _linalg.reduce_mod_span(self.rows, self.pivots, vec, self.ring.field)
-        return {self.columns[i][1]: v for i, v in enumerate(red) if v}
+        return {self.columns[i][1]: red[i] for i in sorted(red)}
 
 
 def tjurina_dim(ring: PlaneCurveRing, bound: int = 10):
@@ -207,16 +218,17 @@ def _koszul_at(ring: PlaneCurveRing, report_weight: int) -> list:
     fx, fy = ring.f_x(), ring.f_y()
     source = ring.monomials(report_weight)
     # kernel of (alpha1, alpha2) -> alpha1*f_x + alpha2*f_y on the window
-    matrix = _linalg.transpose(_multiple_rows(
+    half = len(source)
+    matrix = _transpose(_multiple_rows(
         ring, [(fx,), (fy,)], source, _columns(ring, report_weight, 1)))
-    kernel = [tuple({source[i]: v for i, v in enumerate(half) if v}
-                    for half in (vec[: len(source)], vec[len(source):]))
-              for vec in _linalg.kernel(matrix, ring.field)]
+    kernel = [({source[i]: v for i, v in sorted(vec.items()) if i < half},
+               {source[i - half]: v for i, v in sorted(vec.items()) if i >= half})
+              for vec in _linalg.kernel(matrix, ring.field, 2 * half)]
     columns = _columns(ring, report_weight, 2)
     boundary = _multiple_rows(ring, [(fy, ring.scale(fx, -1))], source, columns)
     index = {c: i for i, c in enumerate(columns)}
     stack = boundary + [_vector(index, pair) for pair in kernel]
-    _, pivots = _linalg.echelon(_linalg.transpose(stack), ring.field)
+    _, pivots = _linalg.echelon(_transpose(stack), ring.field)
     n = len(boundary)
     return [kernel[c - n] for c in pivots if c >= n]
 

@@ -9,7 +9,9 @@ by a separate, more literal route, and shares no code with it:
   a point-by-point scan with a symbolic infinitesimal, behind
   ``lattice.count_perturbed``, the Floer ring's q-exponent;
 - ``singular_points_mod_p``: a scan of F_p^2, behind
-  ``weierstrass.classify_fiber``.
+  ``weierstrass.classify_fiber``;
+- ``echelon_reference``: dense Gauss-Jordan elimination, column by column
+  over list rows, behind ``_linalg.echelon``'s sparse rows.
 
 No module of the package imports this one, and no report or benchmark runs it.
 """
@@ -20,6 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
+from math import gcd, lcm
 
 from tatemirror.theta import weighted_mean
 from tatemirror.weierstrass import WeierstrassCoeffs
@@ -197,3 +200,52 @@ def singular_points_mod_p(w: WeierstrassCoeffs):
             hess = (a1 * a1 + 2 * (6 * x0 + 2 * a2)) % p
             out.append(((x0, y0), hess != 0))
     return out
+
+
+# -- dense elimination, column by column -------------------------------------
+
+def _primitive(row):
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _lead(row):
+    return next(c for c, x in enumerate(row) if x)
+
+
+def echelon_reference(rows, ring):
+    """Reduced echelon form of list rows with unscaled pivots, by the dense
+    loop: (nonzero_rows, pivot_columns), QQ rows primitive lists of ``int``.
+
+    Rows are cleared to primitive ints (QQ) or reduced mod p, zero rows are
+    dropped and the rest stable-sorted by first nonzero column; then every
+    pivot column is cleared from every other row, each step setting a row to
+    a*row - b*pivot over the integers and dividing it by its gcd (QQ) or
+    reducing it mod p.
+    """
+    p = ring.characteristic
+
+    def integral(row):
+        if all(type(x) is int for x in row):
+            return _primitive(row)
+        d = lcm(*[x.denominator for x in row])
+        return _primitive([x.numerator * (d // x.denominator) for x in row])
+
+    m = [[x % p for x in row] if p else integral(row) for row in rows]
+    m = sorted((row for row in m if any(row)), key=_lead)
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        prow = m[r]
+        for i, row in enumerate(m):
+            if i != r and row[c]:
+                g = gcd(prow[c], row[c])
+                a, b = prow[c] // g, row[c] // g
+                m[i] = ([(a * x - b * y) % p for x, y in zip(row, prow)] if p
+                        else _primitive([a * x - b * y for x, y in zip(row, prow)]))
+        pivots.append(c)
+    return m[: len(pivots)], pivots

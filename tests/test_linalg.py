@@ -1,9 +1,10 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import echelon_reference
 from tatemirror._linalg import (det, echelon, kernel, nullspace, rank, reduce_mod_span,
                                 rref, solve_right)
 from tatemirror.exactnum import GF, QQ
@@ -156,6 +157,128 @@ class TestRowOrder:
         if ring is QQ:
             assert kernel(moved, ring) == kernel(rows, ring)
         assert residue(moved) == residue(rows)
+
+
+SPARSE_FIELDS = (QQ, GF(2), GF(3), GF(5), GF(2**61 - 1))
+
+
+def nonzero_entries(ring):
+    if ring is QQ:
+        return entries(QQ).filter(bool)
+    return st.integers(1, ring.p - 1)
+
+
+def sparse_lists(ring, size):
+    """Lists of the given length, a fifth of their entries nonzero at most."""
+    entry = st.one_of(st.just(0), st.just(0), st.just(0), st.just(0), nonzero_entries(ring))
+    return st.lists(entry, min_size=size, max_size=size)
+
+
+@st.composite
+def sparse_systems(draw):
+    """A field, a list-row matrix up to 40x40 with at most a fifth of its cells
+    nonzero, a vector to reduce and a right-hand side.  QQ entries are ints and
+    Fractions, and a multiple of the first row is sometimes appended."""
+    ring = draw(st.sampled_from(SPARSE_FIELDS))
+    nrows, ncols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    filled = draw(st.integers(0, nrows * ncols // 5))
+    cells = dict(draw(st.lists(st.tuples(st.tuples(st.integers(0, nrows - 1),
+                                                   st.integers(0, ncols - 1)),
+                                         nonzero_entries(ring)),
+                               min_size=filled, max_size=filled)))
+    rows = [[cells.get((i, c), 0) for c in range(ncols)] for i in range(nrows)]
+    if nrows < 40 and draw(st.booleans()):
+        k = ring.coerce(draw(st.integers(1, 4)))
+        rows.append([ring.mul(k, ring.coerce(x)) for x in rows[0]])
+    return ring, ncols, rows, draw(sparse_lists(ring, ncols)), draw(sparse_lists(ring, len(rows)))
+
+
+# a second pivot to clear from the first row, and a free column: it fails at
+# once, before any shrinking, when a step of the elimination or kernel is lost
+SMALL_SYSTEM = (QQ, 3, [[1, 1, 1], [0, 1, 1]], [1, 1, 0], [1, 0])
+
+
+def over_pivot(ring, row, c):
+    """The row in field values, divided by its entry at c."""
+    inv = ring.invert(ring.coerce(row[c]))
+    return [ring.mul(ring.coerce(x), inv) for x in row]
+
+
+def as_dicts(rows):
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+
+
+def as_list(row, ncols):
+    return [row.get(c, 0) for c in range(ncols)]
+
+
+class TestSparseAgainstDenseOracle:
+    """``echelon`` on sparse rows against the dense column-by-column loop of
+    ``oracles.echelon_reference``, and everything built on it against the
+    answers read off the oracle's reduced rows."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_systems())
+    @example(SMALL_SYSTEM)
+    def test_echelon_matches_the_oracle_up_to_a_scalar_per_row(self, case):
+        ring, _, rows, _, _ = case
+        want, want_pivots = echelon_reference(rows, ring)
+        got, pivots = echelon(rows, ring)
+        assert pivots == want_pivots
+        assert len(got) == len(want)
+        for g, w, c in zip(got, want, pivots):
+            if ring is QQ:
+                assert g in (w, [-x for x in w])
+            else:
+                assert over_pivot(ring, g, c) == over_pivot(ring, w, c)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_systems())
+    @example(SMALL_SYSTEM)
+    def test_derived_answers_match_the_oracle(self, case):
+        ring, ncols, rows, vec, rhs = case
+        want, pivots = echelon_reference(rows, ring)
+        reduced = [over_pivot(ring, row, c) for row, c in zip(want, pivots)]
+        assert rank(rows, ring) == len(pivots)
+        assert rref(rows, ring) == (reduced, pivots)
+
+        basis = []
+        for f in (f for f in range(ncols) if f not in pivots):
+            x = [ring.zero()] * ncols
+            x[f] = ring.one()
+            for row, c in zip(reduced, pivots):
+                x[c] = ring.sub(ring.zero(), row[f])
+            basis.append(x)
+        assert nullspace(rows, ring) == basis
+        if ring is QQ:  # the primitive integer vector with a positive free entry
+            scaled = [[int(x * lcm(*[y.denominator for y in v])) for x in v] for v in basis]
+            assert kernel(rows, ring) == [[x // gcd(*v) for x in v] for v in scaled]
+
+        residue = [ring.coerce(x) for x in vec]
+        for row, c in zip(reduced, pivots):
+            f = residue[c]
+            residue = [ring.sub(x, ring.mul(f, y)) for x, y in zip(residue, row)]
+        assert reduce_mod_span(*echelon(rows, ring), vec, ring) == residue
+
+        aug, aug_pivots = echelon_reference([r + [b] for r, b in zip(rows, rhs)], ring)
+        solution = None
+        if ncols not in aug_pivots:
+            solution = [ring.zero()] * ncols
+            for row, c in zip(aug, aug_pivots):
+                solution[c] = over_pivot(ring, row, c)[ncols]
+        assert solve_right(rows, rhs, ring) == solution
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_systems())
+    @example(SMALL_SYSTEM)
+    def test_list_and_dict_rows_give_the_same_answer(self, case):
+        ring, ncols, rows, vec, _ = case
+        sparse = as_dicts(rows)
+        red, pivots = echelon(sparse, ring)
+        assert ([as_list(row, ncols) for row in red], pivots) == echelon(rows, ring)
+        assert [as_list(v, ncols) for v in kernel(sparse, ring, ncols)] == kernel(rows, ring)
+        (want,) = as_dicts([reduce_mod_span(*echelon(rows, ring), vec, ring)])
+        assert reduce_mod_span(red, pivots, as_dicts([vec])[0], ring) == want
 
 
 class TestNullspaceAndSolve:

@@ -119,16 +119,19 @@ FAULTS = [
     ("minus sign dropped on the pivot entries of an integer kernel vector", "_linalg.py",
      "v[c] = -row[f] * (v[f] // row[c])", "v[c] = row[f] * (v[f] // row[c])",
      "tests/test_acceptance.py::test_criterion_6_hochschild_tables"),
-    ("rows taken in the order built: the leading-column sort dropped from echelon",
+    ("rows taken in the order given: the leading-column sort dropped from echelon",
      "_linalg.py",
-     "m = sorted((row for row in m if any(row)), key=_lead)",
-     "m = [row for row in m if any(row)]",
+     "for row in sorted(filter(None, rows), key=min):", "for row in filter(None, rows):",
      "tests/test_hochschild.py::TestKoszulStack::test_node_eliminations_fill_few_rows[_Span-165]",
      "equivalent: pivots, residues and kernel vectors up to a scalar do not depend on"
      " the row order; only the work count sees it"),
-    ("the zero-row filter drops rows whose first entry is zero", "_linalg.py",
-     "if any(row)", "if row[0]",
+    ("the zero-row filter drops rows that do not hold column 0", "_linalg.py",
+     "sorted(filter(None, rows), key=min)", "sorted(filter(lambda row: 0 in row, rows), key=min)",
      "tests/test_linalg.py::TestRref::test_rows_span_the_input"),
+    ("a new pivot is not cleared from the earlier pivot rows", "_linalg.py",
+     "            for c, prow in pivot_rows.items():\n                if lead in prow:\n"
+     "                    pivot_rows[c] = _clear(prow, row, lead, p)\n", "",
+     "tests/test_linalg.py::TestRref::test_output_is_reduced_echelon"),
     ("bool let through PlaneCurveRing's int fast path", "hochschild.py",
      "keep = type(coeff) is int and", "keep = isinstance(coeff, int) and",
      "tests/test_hochschild.py::TestNormalForm::test_bool_coefficient_rejected[0]",
