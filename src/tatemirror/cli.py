@@ -118,14 +118,15 @@ def run_lattice_suite(max_degree: int = 12, exponent_cap: int = 12):
         triangles, mismatches = 0, []
         for p1, p2 in points:
             for j in theta.j_range(n1, p1, n2, p2, exponent_cap + 1):
-                lam = theta.lambda_exp(n1, p1, n2, p2 + j)
+                p2j = p2 + j
+                lam = theta.lambda_exp(n1, p1, n2, p2j)
                 if lam > exponent_cap:
                     continue
                 triangles += 1
-                count = lattice.count_perturbed(n1, p1, n2, p2 + j)
-                row = lattice.row_formula_count(n1, p1, n2, p2 + j)
+                count = lattice.count_perturbed(n1, p1, n2, p2j)
+                row = lattice.row_formula_count(n1, p1, n2, p2j)
                 if not (count == row == lam):
-                    mismatches.append((str(p1), str(p2 + j), count, row, str(lam)))
+                    mismatches.append((str(p1), str(p2j), count, row, str(lam)))
         yield (f"counts-{n1}-{n2}", "lattice-points-equal-exponent", not mismatches,
                f"3-way agreement on {triangles} triangles",
                mismatches or f"agree on {triangles} triangles")

@@ -83,17 +83,18 @@ def enumerate_triangles(n1: int, p1, n2: int, p2, order: int):
     dropped.  No star is counted here.  The count of every shift of the
     window is tabled in ``_FLOER_TABLE`` by the integers of (n1, p1, n2, p2),
     an int or a Fraction point alike, so a higher order counts only the shifts
-    its wider window adds (see ``theta._kept_shifts``); the triangles are built
-    fresh on every call, with the points as given.
+    its wider window adds (see ``theta._kept_shifts``); the shifted points
+    p2 + j that ``count_perturbed`` reads come from ``_slot_point``.  The
+    triangles are built fresh on every call, with the points as given.
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("degrees must be positive")
-    a2, d2 = p2.numerator, p2.denominator
+    a2, d2 = p2.as_integer_ratio()
 
     def exponent(j):
-        return lattice.count_perturbed(n1, p1, n2, Fraction(a2 + j * d2, d2))  # p2 + j
+        return lattice.count_perturbed(n1, p1, n2, _slot_point(a2 + j * d2, d2))  # p2 + j
 
-    key = (n1, p1.numerator, p1.denominator, n2, a2, d2)
+    key = (n1, *p1.as_integer_ratio(), n2, a2, d2)
     return [ImmersedTriangle(n1, p1, n2, p2, j, e)
             for j, e in _kept_shifts(_FLOER_TABLE, key, order,
                                      lambda k: j_range(n1, p1, n2, p2, k), exponent)]

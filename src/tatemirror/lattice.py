@@ -7,12 +7,13 @@ no boundary case ever depends on a numeric epsilon.  These counts are the
 independent oracle for the q-exponents of the section ring and the Floer
 products.
 
-``count_perturbed`` is the production kernel: it clears denominators once and
+``count_perturbed`` is the production kernel: it reads each point once, by
+``as_integer_ratio()`` (an int or a Fraction), clears denominators once and
 sums the columns in closed form on integer vertices only.
 ``row_formula_count`` is an independent oracle, a closed formula over the rows
-on the same cleared integers that shares no code with it.  The point-by-point
-Fraction scan with a symbolic eps lives beside the tests, in
-``tests/oracles.py``.
+on the same cleared integers, read the same way, that shares no code with it.
+The point-by-point Fraction scan with a symbolic eps lives beside the tests,
+in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ def count_perturbed(n1: int, p1, n2: int, p2) -> int:
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("degrees must be positive")
-    a1, d1, a2, d2 = p1.numerator, p1.denominator, p2.numerator, p2.denominator
+    a1, d1 = p1.as_integer_ratio()
+    a2, d2 = p2.as_integer_ratio()
     n3 = n1 + n2
     den = math.lcm(d1, d2) * n3
     u1, u2 = a1 * (den // d1), a2 * (den // d2)
@@ -92,7 +94,8 @@ def row_formula_count(n1: int, p1, n2: int, p2) -> int:
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("degrees must be positive")
-    a1, d1, a2, d2 = p1.numerator, p1.denominator, p2.numerator, p2.denominator
+    a1, d1 = p1.as_integer_ratio()
+    a2, d2 = p2.as_integer_ratio()
     n3 = n1 + n2
     D = math.lcm(d1, d2) * n3
     P1, P2 = a1 * (D // d1), a2 * (D // d2)

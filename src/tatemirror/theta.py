@@ -5,11 +5,14 @@ degree-N element is one q-series row per slot numerator m of m/N.  In both
 rings a basis product is a sum over integer shifts j of q-powers, each on
 the slot of the weighted mean (m1 + m2 + n2*j)/(n1 + n2), which ``bilinear``
 computes; here the exponent is the piecewise-linear excess ``lambda_exp``.
-``lambda_exp`` and ``j_range`` work on denominator-cleared integers only;
-their Fraction oracles live beside the tests, in ``tests/oracles.py``.
+``lambda_exp`` and ``j_range`` read each point once, by ``as_integer_ratio()``
+(an int or a Fraction), and work on denominator-cleared integers only; their
+Fraction oracles live beside the tests, in ``tests/oracles.py``.
 ``_kept_shifts`` tables each slot pair's terms for both rings, so ``theta_mul``
-evaluates ``lambda_exp`` once per slot pair and shift.  ``bilinear`` stores the
-first term to reach a slot as it is and adds only the terms after it.
+evaluates ``lambda_exp`` once per slot pair and shift; the points it passes,
+the slots and their shifts p2 + j, come from the cache ``_slot_point``.
+``bilinear`` stores the first term to reach a slot as it is and adds only the
+terms after it.
 """
 
 from __future__ import annotations
@@ -36,20 +39,26 @@ def lambda_exp(n1: int, p1, n2: int, p2) -> Fraction:
     integers: with p1 = a1/d1, p2 = a2/d2 and den = lcm(d1, d2)*(n1 + n2),
     the points scaled by den are integers u1, u2 and (n1*u1 + n2*u2)/(n1 + n2),
     and phi(u/den) = f*(f-1)/2 + f*r/den for f, r = divmod(u, den).  Takes
-    ints or Fractions.
+    ints or Fractions; an integral excess is built as ``Fraction(int)``, with
+    no gcd.
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("degrees must be positive")
-    a1, d1, a2, d2 = p1.numerator, p1.denominator, p2.numerator, p2.denominator
+    a1, d1 = p1.as_integer_ratio()
+    a2, d2 = p2.as_integer_ratio()
     n3 = n1 + n2
     den = math.lcm(d1, d2) * n3
     u1, u2 = a1 * (den // d1), a2 * (den // d2)
-    whole = frac = 0
-    for n, u in ((n1, u1), (n2, u2), (-n3, (n1 * u1 + n2 * u2) // n3)):
-        f, r = divmod(u, den)
-        whole += n * f * (f - 1) // 2
-        frac += n * f * r
-    return Fraction(whole * den + frac, den)
+    f1, r1 = divmod(u1, den)
+    f2, r2 = divmod(u2, den)
+    f3, r3 = divmod((n1 * u1 + n2 * u2) // n3, den)
+    # each f*(f-1) is even, so one halving of the sum is exact
+    whole = (n1 * f1 * (f1 - 1) + n2 * f2 * (f2 - 1) - n3 * f3 * (f3 - 1)) // 2
+    frac = n1 * f1 * r1 + n2 * f2 * r2 - n3 * f3 * r3
+    quot, rem = divmod(frac, den)
+    if rem:
+        return Fraction(whole * den + frac, den)
+    return Fraction(whole + quot)
 
 
 def j_window(n1: int, n2: int, order: int) -> int:
@@ -67,7 +76,8 @@ def j_window(n1: int, n2: int, order: int) -> int:
 def j_range(n1: int, p1, n2: int, p2, order: int):
     """All shifts j with |j - (p1 - p2)| <= j_window(n1, n2, order), found by
     integer floor division on p1 - p2 = (a1*d2 - a2*d1)/(d1*d2)."""
-    a1, d1, a2, d2 = p1.numerator, p1.denominator, p2.numerator, p2.denominator
+    a1, d1 = p1.as_integer_ratio()
+    a2, d2 = p2.as_integer_ratio()
     num, den = a1 * d2 - a2 * d1, d1 * d2
     jmax = j_window(n1, n2, order)
     return range(-(-num // den) - jmax, num // den + jmax + 1)
@@ -170,12 +180,11 @@ class ThetaElement:
         n3 = n1 + n2
         zero = QSeries.zero(self.ring, order)
         out = [zero] * n3
+        right = [(m2, c2) for m2, c2 in enumerate(other.rows) if not c2.is_zero()]
         for m1, c1 in enumerate(self.rows):
             if c1.is_zero():
                 continue
-            for m2, c2 in enumerate(other.rows):
-                if c2.is_zero():
-                    continue
+            for m2, c2 in right:
                 c12 = c1 * c2
                 for j, exponent in terms(n1, m1, n2, m2, order):
                     target = (m1 + m2 + n2 * j) % n3
@@ -223,7 +232,11 @@ _SECTION_TABLE: dict = {}
 
 @functools.cache
 def _slot_point(m: int, n: int) -> Fraction:
-    """The point m/n of a slot, built once: a table hit then builds no Fraction."""
+    """The point m/n, built once: a table hit then builds no Fraction.
+
+    Holds the slot points m/n and their integer shifts p + j, asked for as
+    (a + j*d, d) with p = a/d in lowest terms; a shift is then a lookup, not a
+    normalized ``Fraction``, and it equals and hashes like p + j."""
     return Fraction(m, n)
 
 
@@ -231,13 +244,14 @@ def _section_terms(n1: int, m1: int, n2: int, m2: int, order: int):
     """Section-ring basis product of the slots m1/n1 and m2/n2: q^lambda per
     shift j, as (j, exponent) ints, tabled in ``_SECTION_TABLE``."""
     p1, p2 = _slot_point(m1, n1), _slot_point(m2, n2)
-    a2, d2 = p2.numerator, p2.denominator
+    a2, d2 = p2.as_integer_ratio()
 
     def exponent(j):
-        lam = lambda_exp(n1, p1, n2, Fraction(a2 + j * d2, d2))  # p2 + j
-        if lam.denominator != 1 or lam.numerator < 0:
-            raise InvariantError(f"exponent {lam} at ({n1},{p1};{n2},{p2 + j})")
-        return lam.numerator
+        p2j = _slot_point(a2 + j * d2, d2)  # p2 + j
+        lam, one = lambda_exp(n1, p1, n2, p2j).as_integer_ratio()
+        if one != 1 or lam < 0:
+            raise InvariantError(f"exponent {Fraction(lam, one)} at ({n1},{p1};{n2},{p2j})")
+        return lam
 
     return _kept_shifts(_SECTION_TABLE, (n1, m1, n2, m2), order,
                         lambda k: j_range(n1, p1, n2, p2, k), exponent)

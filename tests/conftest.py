@@ -1,6 +1,17 @@
+import os
+
 import pytest
+from hypothesis import Phase, settings
 
 from tatemirror import fukaya, theta
+
+# The fault census (tools/faults.py) reads only whether a run fails and its
+# first failing test, so its runs skip the shrink phase: a failing example is
+# reported as first found.  Loaded here, before any test module applies its
+# own @settings, so those inherit it.
+settings.register_profile("no-shrink", phases=[p for p in Phase if p is not Phase.shrink])
+if os.environ.get("TATEMIRROR_NO_SHRINK"):
+    settings.load_profile("no-shrink")
 
 
 @pytest.fixture(autouse=True)

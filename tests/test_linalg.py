@@ -196,6 +196,12 @@ def sparse_systems(draw):
 # a second pivot to clear from the first row, and a free column: it fails at
 # once, before any shrinking, when a step of the elimination or kernel is lost
 SMALL_SYSTEM = (QQ, 3, [[1, 1, 1], [0, 1, 1]], [1, 1, 0], [1, 0])
+# Hypothesis's shrunk failure of the list and dict test when a new pivot is not
+# cleared from the earlier pivot rows: a stale pivot row leaves a later row
+# reduced at a column it no longer holds, so echelon fails at once, unshrunk
+UNCLEARED_PIVOT_SYSTEM = (GF(2), 7, [[0, 0, 1, 1, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0],
+                                     [0, 0, 1, 1, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0]],
+                          [0] * 7, [0] * 4)
 
 
 def over_pivot(ring, row, c):
@@ -271,6 +277,7 @@ class TestSparseAgainstDenseOracle:
     @settings(max_examples=100, deadline=None)
     @given(sparse_systems())
     @example(SMALL_SYSTEM)
+    @example(UNCLEARED_PIVOT_SYSTEM)
     def test_list_and_dict_rows_give_the_same_answer(self, case):
         ring, ncols, rows, vec, _ = case
         sparse = as_dicts(rows)

@@ -178,6 +178,32 @@ def test_ascending_orders_evaluate_each_shift_once(ring, monkeypatch, cold_table
         assert sorted(p2j - p2 for p2j in shifts) == list(window)
 
 
+@pytest.mark.parametrize("ring", RINGS)
+def test_kernels_receive_fractions_equal_and_hash_equal_to_the_points(
+        ring, monkeypatch, cold_tables):
+    # the benchmark counts a kernel call as a repeat by its arguments, so each
+    # point a product path passes must be the Fraction p1, or p2 + j, with the
+    # same value and hash however it was built
+    module, name = {"section": (theta, "lambda_exp"),
+                    "floer": (lattice, "count_perturbed")}[ring]
+    kernel, seen = getattr(module, name), []
+
+    def recorded(n1, p1, n2, p2j):
+        seen.append((p1, p2j))
+        return kernel(n1, p1, n2, p2j)
+
+    monkeypatch.setattr(module, name, recorded)
+    for n1, m1, n2, m2 in [(1, 0, 1, 0), (2, 1, 3, 2), (5, 3, 2, 0), (4, 2, 4, 3), (7, 6, 1, 0)]:
+        seen.clear()
+        RINGS[ring](n1, m1, n2, m2, MAX_ORDER)
+        p1, p2 = Fraction(m1, n1), Fraction(m2, n2)
+        window = theta.j_range(n1, p1, n2, p2, MAX_ORDER)
+        assert len(seen) == len(window), (ring, n1, m1, n2, m2)
+        for (q1, p2j), j in zip(seen, window):
+            assert type(q1) is Fraction and q1 == p1 and hash(q1) == hash(p1)
+            assert type(p2j) is Fraction and p2j == p2 + j and hash(p2j) == hash(p2 + j)
+
+
 def test_a_window_that_is_not_nested_is_an_invariant_error():
     # an entry is only extended, so a wider order's window must contain the old one
     for shifts in (lambda k: range(k, k + 3), lambda k: range(-k, 5 - k)):

@@ -5,12 +5,13 @@
 Each fault is one exact text edit to a file under ``src/tatemirror``, planted
 once: ``src/``, ``tests/`` and ``pyproject.toml`` are copied to a temporary
 directory and the edit is applied there.  On that copy the tier-1 tests run
-with ``-x``; the fault is killed when the run fails, and the first failing
-test is printed.  Each fault names the test that killed it in the last
-census, and that test runs first: when it fails, it is the printed failure
-and the full run is skipped; when it passes or is no longer found, the full
-``-x`` run decides as before.  Then ``tatemirror all`` and ``tatemirror all
---order 64`` run on the same copy, and the check records
+with ``-x`` and without Hypothesis's shrink phase (``TATEMIRROR_NO_SHRINK``,
+read by ``tests/conftest.py``); the fault is killed when the run fails, and
+the first failing test is printed.  Each fault names the test that killed it
+in the last census, and that test runs first: when it fails, it is the
+printed failure and the full run is skipped; when it passes or is no longer
+found, the full ``-x`` run decides as before.  Then ``tatemirror all`` and
+``tatemirror all --order 64`` run on the same copy, and the check records
 (``suite[char=p]/id``) that fail in either report are printed; the fault is
 silent when both reports pass.  A fault may carry a one-line reason why no
 report should see it.
@@ -71,7 +72,7 @@ FAULTS = [
      "boundary = []",
      "tests/test_acceptance.py::test_criterion_6_hochschild_tables"),
     ("f*(f-1) -> f*(f+1) in lambda_exp", "theta.py",
-     "whole += n * f * (f - 1) // 2", "whole += n * f * (f + 1) // 2",
+     "n2 * f2 * (f2 - 1)", "n2 * f2 * (f2 + 1)",
      "tests/test_acceptance.py::test_criterion_1_lattice_point_counts"),
     ("+ 1 dropped from j_range's upper bound", "theta.py",
      "num // den + jmax + 1)", "num // den + jmax)",
@@ -185,11 +186,18 @@ FAULTS = [
      "stack.append(((a + 3, b - 2), coeff))", "stack.append(((a + 3, b - 2), -coeff))",
      "tests/test_acceptance.py::test_criterion_6_hochschild_tables"),
     ("Floer exponent read from lambda_exp", "fukaya.py",
-     "return lattice.count_perturbed(n1, p1, n2, Fraction(a2 + j * d2, d2))  # p2 + j",
-     "from .theta import lambda_exp; return int(lambda_exp(n1, p1, n2, Fraction(a2 + j * d2, d2)))",
+     "return lattice.count_perturbed(n1, p1, n2, _slot_point(a2 + j * d2, d2))  # p2 + j",
+     "from .theta import lambda_exp; return int(lambda_exp(n1, p1, n2, _slot_point(a2 + j * d2, d2)))",
      "tests/test_layers.py::test_fukaya_takes_only_the_shared_element_machinery_from_theta",
      "λ equals the count on every shift the reports reach, so both rings still agree;"
      " only the independence tests see it"),
+    ("the Floer shift builds p2 + j/d2: j * d2 -> j in the _slot_point key", "fukaya.py",
+     "count_perturbed(n1, p1, n2, _slot_point(a2 + j * d2, d2))",
+     "count_perturbed(n1, p1, n2, _slot_point(a2 + j, d2))",
+     "tests/test_acceptance.py::test_criterion_2_mirror_product_identity"),
+    ("quotient dropped from lambda_exp's integral branch", "theta.py",
+     "return Fraction(whole + quot)", "return Fraction(whole)",
+     "tests/test_acceptance.py::test_criterion_1_lattice_point_counts"),
 ]
 
 
@@ -201,7 +209,11 @@ def _first_failure(output: str) -> str:
 
 
 def _env(tree: str) -> dict:
-    return dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    """The copy's source on the path; Hypothesis without its shrink phase
+    (``tests/conftest.py``), since only the verdict and the first failing test
+    are read."""
+    return dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
+                TATEMIRROR_NO_SHRINK="1")
 
 
 def run_fault(filename: str, old: str, new: str, killer: str):
