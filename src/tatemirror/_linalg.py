@@ -1,9 +1,11 @@
 """Exact linear algebra over a field Ring (QQ or GF(p)) on sparse rows.
 
 A row is a dict {column: value} of its nonzero raw field values, or a list of
-raw field values.  List rows are converted on entry and the results come back
-as lists, so dense callers keep their calls.  QQ and GF(p) share one integer
-elimination, ``echelon``, which never scales a pivot: its QQ rows are
+raw field values.  One helper, ``_dict_rows``, reads the form and converts
+list rows; every function computes on dict rows and returns lists only when
+given lists.  Dict rows carry no column count: ``kernel`` takes ``ncols`` for
+them, and ``nullspace`` and ``solve_right`` raise.  QQ and GF(p) share one
+integer elimination, ``echelon``, which never scales a pivot: its QQ rows are
 primitive rows of ``int``.  ``rank`` and ``kernel`` stay integral; only
 ``rref``, ``nullspace`` and ``solve_right`` divide, returning QQ ``Fraction``s.
 
@@ -29,13 +31,20 @@ from math import gcd, lcm
 from .exactnum import Ring
 
 
-def _sparse(row) -> dict:
-    """{column: value} of a list row's nonzero entries."""
-    return dict(zip(compress(count(), row), filter(None, row)))
+def _dict_rows(rows) -> tuple:
+    """(dict rows, width): list rows as dicts of their nonzero entries and their
+    length (0 for no rows), or dict rows as they are and None."""
+    if rows and isinstance(rows[0], dict):
+        return rows, None
+    return ([dict(zip(compress(count(), row), filter(None, row))) for row in rows],
+            len(rows[0]) if rows else 0)
 
 
-def _dense(row: dict, ncols: int, zero=0) -> list:
-    return [row.get(c, zero) for c in range(ncols)]
+def _list_rows(rows: list, width, zero=0) -> list:
+    """The dict rows as lists of the given width, or as they are if width is None."""
+    if width is None:
+        return rows
+    return [[row.get(c, zero) for c in range(width)] for row in rows]
 
 
 def _primitive(row: dict) -> dict:
@@ -55,13 +64,13 @@ def _integral(row: dict) -> dict:
     return _primitive({c: x.numerator * (d // x.denominator) for c, x in row.items()})
 
 
-def _over(row, a, ring: Ring):
-    """row / a: times the inverse of a (GF(p)), or Fractions sharing one zero (QQ)."""
-    p, zero = ring.characteristic, ring.zero()
+def _over(row: dict, a, ring: Ring) -> dict:
+    """row / a: times the inverse of a (GF(p)), or Fractions (QQ)."""
+    p = ring.characteristic
     if p:
         a = pow(a, -1, p)
-        return [x * a % p for x in row]
-    return [Fraction(x, a) if x else zero for x in row]
+        return {c: x * a % p for c, x in row.items()}
+    return {c: Fraction(x, a) for c, x in row.items()}
 
 
 def _clear(row: dict, prow: dict, c: int, p: int) -> dict:
@@ -78,7 +87,6 @@ def _clear(row: dict, prow: dict, c: int, p: int) -> dict:
 def echelon(rows, ring: Ring):
     """Reduced echelon form with unscaled pivots.  Returns (nonzero_rows, pivot_columns).
 
-    Rows are dicts {column: value} or lists; list rows come back as lists.
     Each row is cleared to a primitive int row (QQ, denominators cleared
     unless all ``int``) or reduced mod p, zero rows are dropped and the rest
     are taken by leading column.  A row is reduced by the pivot rows whose
@@ -86,11 +94,10 @@ def echelon(rows, ring: Ring):
     pivot rows; each step sets a row to a*row - b*pivot_row over the integers
     and divides it by its gcd (QQ) or reduces it mod p.
     """
+    rows, width = _dict_rows(rows)
     p = ring.characteristic
-    ncols = None if not rows or isinstance(rows[0], dict) else len(rows[0])
-    if ncols is not None:
-        rows = map(_sparse, rows)
-    rows = (_mod(row, p) for row in rows) if p else map(_integral, rows)
+    # a zero row needs no gcd: it is dropped below either way
+    rows = (_mod(row, p) for row in rows) if p else map(_integral, filter(None, rows))
     pivot_rows = {}  # pivot column -> its row
     for row in sorted(filter(None, rows), key=min):
         # a pivot row holds no other pivot column, so no step brings one back
@@ -103,32 +110,33 @@ def echelon(rows, ring: Ring):
                     pivot_rows[c] = _clear(prow, row, lead, p)
             pivot_rows[lead] = row
     pivots = sorted(pivot_rows)
-    red = [pivot_rows[c] for c in pivots]
-    return ([_dense(row, ncols) for row in red] if ncols is not None else red), pivots
+    return _list_rows([pivot_rows[c] for c in pivots], width), pivots
 
 
 def rref(rows, ring: Ring):
     """Reduced row echelon form: ``echelon`` with every pivot scaled to 1."""
+    rows, width = _dict_rows(rows)
     m, pivots = echelon(rows, ring)
-    return [_over(row, row[c], ring) for row, c in zip(m, pivots)], pivots
+    return _list_rows([_over(row, row[c], ring) for row, c in zip(m, pivots)], width,
+                      ring.zero()), pivots
 
 
 def rank(rows, ring: Ring) -> int:
-    return len(echelon(rows, ring)[1])
+    return len(echelon(_dict_rows(rows)[0], ring)[1])
 
 
 def kernel(rows, ring: Ring, ncols=None):
     """Basis of the right null space in integers (QQ, primitive) or residues.
 
-    Rows are lists, or dicts {column: value} over ``ncols`` columns; the
-    vectors come back in the same form.  Free column f gives L at f and
+    Dict rows need ``ncols``, their column count; the vectors come back in
+    the form of the rows.  Free column f gives L at f and
     -row[f] * L / row[c] at each echelon pivot c < f, L the lcm of those
     row[c]: f is the vector's last nonzero entry.
     """
-    dense = ncols is None
-    if dense:
-        ncols = len(rows[0]) if rows else 0
-        rows = [_sparse(row) for row in rows]
+    rows, width = _dict_rows(rows)
+    ncols = width if ncols is None else ncols
+    if ncols is None:
+        raise ValueError("dict rows carry no column count")
     red, pivots = echelon(rows, ring)
     p, taken = ring.characteristic, set(pivots)
     basis = []
@@ -137,34 +145,33 @@ def kernel(rows, ring: Ring, ncols=None):
         v = {f: lcm(*[row[c] for row, c in held])}
         for row, c in held:
             v[c] = -row[f] * (v[f] // row[c])
-        v = {c: x % p for c, x in v.items()} if p else _primitive(v)
-        basis.append(_dense(v, ncols) if dense else v)
-    return basis
+        basis.append({c: x % p for c, x in v.items()} if p else _primitive(v))
+    return _list_rows(basis, None if width is None else ncols)
 
 
 def nullspace(rows, ring: Ring):
-    """Basis of {x : rows . x = 0}: each ``kernel`` vector over its free coordinate."""
-    return [_over(v, next(x for x in reversed(v) if x), ring) for v in kernel(rows, ring)]
+    """Basis of {x : rows . x = 0}: each ``kernel`` vector over its free
+    coordinate, its last nonzero entry.  List rows only (``kernel`` raises)."""
+    rows, width = _dict_rows(rows)
+    return _list_rows([_over(v, v[max(v)], ring) for v in kernel(rows, ring, width)],
+                      width, ring.zero())
 
 
 def solve_right(rows, rhs, ring: Ring):
-    """One solution x of rows . x = rhs, or None if inconsistent."""
-    if not rows:
-        return None if any(b != ring.zero() for b in rhs) else []
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug, ring)
+    """One solution x of rows . x = rhs (list rows), or None if inconsistent."""
+    rows, ncols = _dict_rows(rows)
+    if ncols is None:
+        raise ValueError("dict rows carry no column count")
+    red, pivots = rref([row | ({ncols: b} if b else {}) for row, b in zip(rows, rhs)], ring)
     if ncols in pivots:
         return None
-    x = [ring.zero()] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = red[i][ncols]
-    return x
+    return _list_rows([{c: row[ncols] for row, c in zip(red, pivots) if ncols in row}],
+                      ncols, ring.zero())[0]
 
 
 def det(rows) -> int:
     """Integer determinant by fraction-free (Bareiss) elimination; `//` is exact."""
-    m = [list(row) for row in rows]
+    m = _list_rows(_dict_rows(rows)[0], len(rows))
     n, sign, prev = len(m), 1, 1
     for k in range(n - 1):
         if not m[k][k]:
@@ -180,20 +187,22 @@ def det(rows) -> int:
 
 
 def transpose(rows):
-    return [list(col) for col in zip(*rows)] if rows else []
+    """The columns as rows; for dict rows, up to the last column held."""
+    rows, width = _dict_rows(rows)
+    ncols = 1 + max(map(max, filter(None, rows)), default=-1) if width is None else width
+    cols = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for c, x in row.items():
+            cols[c][i] = x
+    return _list_rows(cols, None if width is None else len(rows))
 
 
 def reduce_mod_span(span, pivots, vec, ring: Ring):
-    """Residue of vec modulo the row span (given in rref or echelon form).
-
-    ``span`` and ``vec`` are dicts {column: value}, or lists; a list vec
-    comes back as a list.
-    """
-    dense = isinstance(vec, list)
-    if dense:
-        span = map(_sparse, span)
-    v = _sparse(vec) if dense else dict(vec)
-    for row, pc in zip(span, pivots):
+    """Residue of vec modulo the row span (given in rref or echelon form),
+    in the form of vec."""
+    (v,), width = _dict_rows([vec])
+    v = dict(v)
+    for row, pc in zip(_dict_rows(span)[0], pivots):
         if pc in v:
             f = ring.mul(v[pc], ring.invert(row[pc]))
             for c, y in row.items():
@@ -201,4 +210,4 @@ def reduce_mod_span(span, pivots, vec, ring: Ring):
                     v[c] = x
                 else:
                     v.pop(c, None)
-    return _dense(v, len(vec), ring.zero()) if dense else v
+    return _list_rows([v], width, ring.zero())[0]

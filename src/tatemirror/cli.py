@@ -131,10 +131,11 @@ def run_lattice_suite(max_degree: int = 12, exponent_cap: int = 12):
                f"3-way agreement on {triangles} triangles",
                mismatches or f"agree on {triangles} triangles")
     if max_degree >= 2:
-        # translation invariance on a small diagonal family
+        # translation invariance of the count and of lambda_exp at p1 + 1, past [0, 1)
         shifts_ok = all(
-            lattice.count_perturbed(n1, Fraction(1, n1) + 1, n2, Fraction(1, n2) + j + 1)
-            == lattice.count_perturbed(n1, Fraction(1, n1), n2, Fraction(1, n2) + j)
+            f(n1, Fraction(1, n1) + 1, n2, Fraction(1, n2) + j + 1)
+            == f(n1, Fraction(1, n1), n2, Fraction(1, n2) + j)
+            for f in (lattice.count_perturbed, theta.lambda_exp)
             for n1 in range(1, 5) for n2 in range(1, 5) for j in range(-3, 4))
         yield "translation-invariance", "counts-shift-invariant", shifts_ok, None, None
 

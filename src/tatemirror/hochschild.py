@@ -19,7 +19,7 @@ complex built from (f_x, f_y); both are computed here, together with the
 graded ranks of the cusp's resolution dga, its differential one image table.
 The middle homology's generators come from one elimination of the boundary
 multiples stacked ahead of the kernel pairs, and their number is its
-dimension.
+dimension.  Each window forms its ring products m*f_x and m*f_y once.
 """
 
 from __future__ import annotations
@@ -134,26 +134,16 @@ def _vector(index: dict, element) -> dict:
     return vec
 
 
-def _transpose(rows) -> list:
-    """The columns of dict rows that hold an entry, as dict rows, by column."""
-    cols = {}
-    for i, row in enumerate(rows):
-        for c, x in row.items():
-            cols.setdefault(c, {})[i] = x
-    return [cols[c] for c in sorted(cols)]
-
-
 def _columns(ring: PlaneCurveRing, report_weight: int, k: int) -> list:
     """Columns (side, mono) of R^k in the padded window, by descending weight."""
     return [(side, m) for m in reversed(ring.monomials(report_weight + 4))
             for side in range(k)]
 
 
-def _multiple_rows(ring: PlaneCurveRing, gens, multipliers, columns):
-    """One row per generator g in R^k and multiplier monomial m: the vector m*g."""
-    index = {c: i for i, c in enumerate(columns)}
-    return [_vector(index, [ring.mul({mono: 1}, comp) for comp in g])
-            for g in gens for mono in multipliers]
+def _multiples(ring: PlaneCurveRing, source) -> tuple:
+    """[m*f_x for m in source] and [m*f_y for m in source]: a window's ring products."""
+    fx, fy = ring.f_x(), ring.f_y()
+    return [ring.mul({m: 1}, fx) for m in source], [ring.mul({m: 1}, fy) for m in source]
 
 
 class _Span:
@@ -170,8 +160,8 @@ class _Span:
         self.report_weight = report_weight
         self.columns = _columns(ring, report_weight, 1)
         self.index = {c: i for i, c in enumerate(self.columns)}
-        rows = _multiple_rows(ring, [(ring.f_x(),), (ring.f_y(),)],
-                              ring.monomials(report_weight), self.columns)
+        mx, my = _multiples(ring, ring.monomials(report_weight))
+        rows = [_vector(self.index, [prod]) for prod in mx + my]
         self.rows, self.pivots = _linalg.echelon(rows, ring.field)
 
     def basis(self) -> list:
@@ -215,22 +205,20 @@ def _koszul_at(ring: PlaneCurveRing, report_weight: int) -> list:
     of B supported in the window: the count is the dimension of the middle
     homology in the window, with nothing left to subtract.
     """
-    fx, fy = ring.f_x(), ring.f_y()
     source = ring.monomials(report_weight)
+    mx, my = _multiples(ring, source)
     # kernel of (alpha1, alpha2) -> alpha1*f_x + alpha2*f_y on the window
     half = len(source)
-    matrix = _transpose(_multiple_rows(
-        ring, [(fx,), (fy,)], source, _columns(ring, report_weight, 1)))
+    index = {c: i for i, c in enumerate(_columns(ring, report_weight, 1))}
+    matrix = _linalg.transpose([_vector(index, [prod]) for prod in mx + my])
     kernel = [({source[i]: v for i, v in sorted(vec.items()) if i < half},
                {source[i - half]: v for i, v in sorted(vec.items()) if i >= half})
               for vec in _linalg.kernel(matrix, ring.field, 2 * half)]
-    columns = _columns(ring, report_weight, 2)
-    boundary = _multiple_rows(ring, [(fy, ring.scale(fx, -1))], source, columns)
-    index = {c: i for i, c in enumerate(columns)}
+    index = {c: i for i, c in enumerate(_columns(ring, report_weight, 2))}
+    boundary = [_vector(index, [py, ring.scale(px, -1)]) for px, py in zip(mx, my)]
     stack = boundary + [_vector(index, pair) for pair in kernel]
-    _, pivots = _linalg.echelon(_transpose(stack), ring.field)
-    n = len(boundary)
-    return [kernel[c - n] for c in pivots if c >= n]
+    _, pivots = _linalg.echelon(_linalg.transpose(stack), ring.field)
+    return [kernel[c - half] for c in pivots if c >= half]
 
 
 def koszul_h1_dim(ring: PlaneCurveRing, bound: int = 10):

@@ -207,6 +207,18 @@ class TestReports:
         assert all(row == count + 1 and str(count) == lam
                    for _, _, count, row, lam in counts.actual)
 
+    def test_an_exponent_wrong_past_the_unit_interval_fails_translation_invariance(
+            self, monkeypatch):
+        import tatemirror.theta as theta
+
+        # no grid record hands lambda_exp a point p1 >= 1
+        lam = theta.lambda_exp
+        monkeypatch.setattr(theta, "lambda_exp",
+                            lambda n1, p1, n2, p2: lam(n1, p1, n2, p2) + (p1 >= 1))
+        counts, shifts = cli.run_lattice_suite(2).checks
+        assert (counts.status, shifts.id, shifts.status) == (
+            "pass", "translation-invariance", "fail")
+
     def test_failed_skew_pairing_is_a_record_and_the_suite_goes_on(self, capsys,
                                                                   monkeypatch):
         from tatemirror.errors import VerificationFailure

@@ -241,6 +241,23 @@ class TestKoszulStack:
             hh._koszul_at(ring, 20)
             assert len(calls) == 2
 
+    @pytest.mark.parametrize("w", (0, 20, 28))
+    def test_one_window_forms_each_ring_product_once(self, monkeypatch, w):
+        # m*f_x and m*f_y for each multiplier m: the kernel matrix and the
+        # boundary m*(f_y, -f_x) share them
+        calls = []
+        original = hh.PlaneCurveRing.mul
+
+        def counting(ring, p, q):
+            calls.append((p, q))
+            return original(ring, p, q)
+
+        monkeypatch.setattr(hh.PlaneCurveRing, "mul", counting)
+        for ring in rings(0):
+            calls.clear()
+            hh._koszul_at(ring, w)
+            assert len(calls) == 2 * len(ring.monomials(w))
+
     # row normalizations of the node's eliminations at weight 28 over QQ: 165 and
     # 311 with rows taken by leading column, 975 and 1006 in the order built
     @pytest.mark.parametrize("build, bound", [(hh._Span, 165), (hh._koszul_at, 311)])

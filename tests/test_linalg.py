@@ -1,12 +1,13 @@
 from fractions import Fraction
 from math import gcd, lcm
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import echelon_reference
 from tatemirror._linalg import (det, echelon, kernel, nullspace, rank, reduce_mod_span,
-                                rref, solve_right)
+                                rref, solve_right, transpose)
 from tatemirror.exactnum import GF, QQ
 
 FIELDS = (QQ, GF(2), GF(3), GF(7))
@@ -284,8 +285,47 @@ class TestSparseAgainstDenseOracle:
         red, pivots = echelon(sparse, ring)
         assert ([as_list(row, ncols) for row in red], pivots) == echelon(rows, ring)
         assert [as_list(v, ncols) for v in kernel(sparse, ring, ncols)] == kernel(rows, ring)
+        assert rank(sparse, ring) == rank(rows, ring)
+        reduced, reduced_pivots = rref(sparse, ring)
+        assert ([as_list(row, ncols) for row in reduced], reduced_pivots) == rref(rows, ring)
+        # dict rows carry no column count: their transpose ends at the last
+        # column held, and the zero columns after it are empty rows of the list form
+        cols = transpose(sparse)
+        assert cols + [{}] * (ncols - len(cols)) == as_dicts(transpose(rows))
         (want,) = as_dicts([reduce_mod_span(*echelon(rows, ring), vec, ring)])
         assert reduce_mod_span(red, pivots, as_dicts([vec])[0], ring) == want
+
+
+class TestDictRows:
+    """Each function gives the answer for the equal list rows, or raises where
+    dict rows, which carry no column count, leave it open."""
+
+    def test_rref_reads_the_values_not_the_columns(self):
+        red, pivots = rref([{0: 2, 2: 4}, {1: 3}], QQ)
+        assert (red, pivots) == ([{0: 1, 2: 2}, {1: 1}], [0, 1])
+        assert ([as_list(row, 3) for row in red], pivots) == rref([[2, 0, 4], [0, 3, 0]], QQ)
+
+    def test_kernel_takes_the_column_count(self):
+        with pytest.raises(ValueError):
+            kernel([{0: 1, 1: 1}], QQ)
+        assert kernel([{0: 1, 1: 1}], QQ, 2) == [{0: -1, 1: 1}]
+        assert kernel([[1, 1]], QQ) == [[-1, 1]]
+
+    def test_nullspace_and_solve_right_need_list_rows(self):
+        with pytest.raises(ValueError):
+            nullspace([{0: 1, 1: 1}], QQ)
+        with pytest.raises(ValueError):
+            solve_right([{0: 2}], [1], QQ)
+        assert nullspace([[1, 1]], QQ) == [[-1, 1]]
+        assert solve_right([[2]], [1], QQ) == [Fraction(1, 2)]
+
+    def test_transpose_keeps_each_column_in_its_place(self):
+        assert transpose([{0: 1, 2: 3}]) == [{0: 1}, {}, {0: 3}]
+        assert transpose([[1, 0, 3]]) == [[1], [0], [3]]
+        assert transpose([{}, {1: 5}]) == [{}, {1: 5}]
+
+    def test_det_of_a_square_of_dict_rows(self):
+        assert det([{0: 2, 1: 1}, {1: 3}]) == det([[2, 1], [0, 3]]) == 6
 
 
 class TestNullspaceAndSolve:

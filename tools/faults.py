@@ -68,7 +68,7 @@ FAULTS = [
      "return (math.isqrt(2 * n3 * (order + n3) // (n1 * n2)) + 2) // 3",
      "tests/test_acceptance.py::test_criterion_1_lattice_point_counts"),
     ("Koszul boundary multiples left out of the stack", "hochschild.py",
-     "boundary = _multiple_rows(ring, [(fy, ring.scale(fx, -1))], source, columns)",
+     "boundary = [_vector(index, [py, ring.scale(px, -1)]) for px, py in zip(mx, my)]",
      "boundary = []",
      "tests/test_acceptance.py::test_criterion_6_hochschild_tables"),
     ("f*(f-1) -> f*(f+1) in lambda_exp", "theta.py",
@@ -198,6 +198,31 @@ FAULTS = [
     ("quotient dropped from lambda_exp's integral branch", "theta.py",
      "return Fraction(whole + quot)", "return Fraction(whole)",
      "tests/test_acceptance.py::test_criterion_1_lattice_point_counts"),
+    ("f*(f-1) -> f*(f+1) in lambda_exp's p1 term", "theta.py",
+     "n1 * f1 * (f1 - 1)", "n1 * f1 * (f1 + 1)",
+     "tests/test_cli.py::TestReports::test_all_matches_the_golden_report"),
+    ("list rows converted one column wide", "_linalg.py",
+     "len(rows[0]) if rows else 0", "len(rows[0]) + 1 if rows else 0",
+     "tests/test_linalg.py::TestRref::test_output_is_reduced_echelon"),
+    ("rows returned as lists lose the ring's zero", "_linalg.py",
+     "row.get(c, zero)", "row.get(c, 0)",
+     "tests/test_linalg.py::TestRref::test_output_is_reduced_echelon",
+     "equivalent on every report: an int 0 equals QQ's Fraction zero and prints alike"),
+    ("row and column swapped in transpose", "_linalg.py",
+     "cols[c][i] = x", "cols[i][c] = x",
+     "tests/test_linalg.py::TestDictRows::test_transpose_keeps_each_column_in_its_place"),
+    ("last column held dropped from the transpose of dict rows", "_linalg.py",
+     "1 + max(map(max, filter(None, rows)), default=-1)",
+     "max(map(max, filter(None, rows)), default=0)",
+     "tests/test_linalg.py::TestDictRows::test_transpose_keeps_each_column_in_its_place"),
+    ("a zero right-hand side kept as an entry in solve_right", "_linalg.py",
+     "row | ({ncols: b} if b else {})", "row | {ncols: b}",
+     "tests/test_linalg.py::TestNullspaceAndSolve::test_solve_right_solves_when_it_returns",
+     "equivalent on every report: relation_kernel's block is unimodular, so no row is"
+     " left holding only its zero right-hand side, and a kept zero divides to zero"),
+    ("sign of f_x*m dropped from the Koszul boundary", "hochschild.py",
+     "[py, ring.scale(px, -1)]", "[py, px]",
+     "tests/test_acceptance.py::test_criterion_6_hochschild_tables"),
 ]
 
 
