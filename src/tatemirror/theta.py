@@ -6,13 +6,15 @@ rings a basis product is a sum over integer shifts j of q-powers, each on
 the slot of the weighted mean (m1 + m2 + n2*j)/(n1 + n2), which ``bilinear``
 computes; here the exponent is the piecewise-linear excess ``lambda_exp``.
 ``lambda_exp`` and ``j_range`` read each point once, by ``as_integer_ratio()``
-(an int or a Fraction), and work on denominator-cleared integers only; their
+(an int or a Fraction), and work on denominator-cleared integers only; an
+integral excess, as at every basis point, comes back as an ``int``.  Their
 Fraction oracles live beside the tests, in ``tests/oracles.py``.
 ``_kept_shifts`` tables each slot pair's terms for both rings, so ``theta_mul``
 evaluates ``lambda_exp`` once per slot pair and shift; the points it passes,
 the slots and their shifts p2 + j, come from the cache ``_slot_point``.
 ``bilinear`` stores the first term to reach a slot as it is and adds only the
-terms after it.
+terms after it.  ``basis`` and ``bilinear`` build their results with
+``_element``, which skips the validation their rows satisfy by construction.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ def weighted_mean(n1: int, p1, n2: int, p2) -> Fraction:
     return (Fraction(p1) * n1 + Fraction(p2) * n2) / (n1 + n2)
 
 
-def lambda_exp(n1: int, p1, n2: int, p2) -> Fraction:
+def lambda_exp(n1: int, p1, n2: int, p2) -> int | Fraction:
     """n1*phi(p1) + n2*phi(p2) - (n1+n2)*phi(mean); the product q-exponent.
 
     phi is x*(x-1)/2 on the integers, interpolated linearly between them; it
@@ -39,8 +41,8 @@ def lambda_exp(n1: int, p1, n2: int, p2) -> Fraction:
     integers: with p1 = a1/d1, p2 = a2/d2 and den = lcm(d1, d2)*(n1 + n2),
     the points scaled by den are integers u1, u2 and (n1*u1 + n2*u2)/(n1 + n2),
     and phi(u/den) = f*(f-1)/2 + f*r/den for f, r = divmod(u, den).  Takes
-    ints or Fractions; an integral excess is built as ``Fraction(int)``, with
-    no gcd.
+    ints or Fractions; an integral excess is returned as an ``int``, any other
+    as a ``Fraction``, built with no gcd.
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("degrees must be positive")
@@ -58,7 +60,7 @@ def lambda_exp(n1: int, p1, n2: int, p2) -> Fraction:
     quot, rem = divmod(frac, den)
     if rem:
         return Fraction(whole * den + frac, den)
-    return Fraction(whole + quot)
+    return whole + quot
 
 
 def j_window(n1: int, n2: int, order: int) -> int:
@@ -83,13 +85,15 @@ def j_range(n1: int, p1, n2: int, p2, order: int):
     return range(-(-num // den) - jmax, num // den + jmax + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThetaElement:
     """A degree-n element: one coefficient q-series per slot, ``rows[m]`` at m/n.
 
     The section ring and the Floer ring share this basis; they differ only in
     the product of two basis elements, which ``bilinear`` takes as an argument.
     Every row has the element's truncation order and all rows share one ring.
+    The constructor checks that; ``basis`` and ``bilinear``, whose rows hold
+    it by construction, build their results unchecked with ``_element``.
     """
 
     degree: int
@@ -132,7 +136,7 @@ class ThetaElement:
             raise ValueError(f"{p} is not in (1/{degree})Z")
         rows = [QSeries.zero(ring, order)] * degree
         rows[slot % degree] = QSeries.one(ring, order)
-        return ThetaElement(degree, order, rows)
+        return _element(degree, order, tuple(rows))
 
     def _check(self, other: "ThetaElement", same_degree: bool = True):
         if (same_degree and self.degree != other.degree) or self.order != other.order:
@@ -173,7 +177,9 @@ class ThetaElement:
         slot of the weighted mean of m1/n1 and m2/n2 + j, whose numerator
         over n1 + n2 is m1 + m2 + n2*j.  The first term to reach a slot is
         stored as it is (0 + t = t); a slot that no longer holds the shared
-        zero, even one whose sum has cancelled to zero, is added to.
+        zero, even one whose sum has cancelled to zero, is added to.  Every
+        row is a series of the operands' ring and order (``_check``), so the
+        result is built by ``_element``, unchecked.
         """
         self._check(other, same_degree=False)
         n1, n2, order = self.degree, other.degree, self.order
@@ -191,7 +197,28 @@ class ThetaElement:
                     term = c12.shift(exponent)
                     held = out[target]
                     out[target] = term if held is zero else held + term
-        return ThetaElement(n3, order, out)
+        return _element(n3, order, tuple(out))
+
+
+_new_element = functools.partial(object.__new__, ThetaElement)
+_set_degree, _set_order, _set_rows = (
+    ThetaElement.degree.__set__, ThetaElement.order.__set__, ThetaElement.rows.__set__)
+
+
+def _element(degree: int, order: int, rows: tuple) -> ThetaElement:
+    """The element ``ThetaElement(degree, order, rows)``, its slots stored directly.
+
+    The frozen dataclass ``__init__`` assigns each field through
+    ``object.__setattr__`` and ``__post_init__`` scans the rows; the slot
+    descriptors store the three fields unchecked, as ``exactnum._series`` does
+    for a series.  ``rows`` must be a tuple of exactly ``degree`` >= 1 series
+    of order ``order`` over one ring, as every caller builds.
+    """
+    element = _new_element()
+    _set_degree(element, degree)
+    _set_order(element, order)
+    _set_rows(element, rows)
+    return element
 
 
 def _kept_shifts(table: dict, key, order: int, shifts, exponent):
@@ -248,9 +275,9 @@ def _section_terms(n1: int, m1: int, n2: int, m2: int, order: int):
 
     def exponent(j):
         p2j = _slot_point(a2 + j * d2, d2)  # p2 + j
-        lam, one = lambda_exp(n1, p1, n2, p2j).as_integer_ratio()
-        if one != 1 or lam < 0:
-            raise InvariantError(f"exponent {Fraction(lam, one)} at ({n1},{p1};{n2},{p2j})")
+        lam = lambda_exp(n1, p1, n2, p2j)
+        if type(lam) is not int or lam < 0:
+            raise InvariantError(f"exponent {lam} at ({n1},{p1};{n2},{p2j})")
         return lam
 
     return _kept_shifts(_SECTION_TABLE, (n1, m1, n2, m2), order,

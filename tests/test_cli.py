@@ -159,6 +159,11 @@ class TestReports:
         assert code == 0
         assert doc["params"]["n_max"] == 4 and doc["params"]["s_min"] == -8
 
+    def test_hochschild_smallest_window(self, capsys):
+        code, doc = run(["hochschild", "--window", "0,0"], capsys)
+        assert code == 0
+        assert doc["params"]["n_max"] == 0 and doc["params"]["s_min"] == 0
+
     def test_failing_check_gives_exit_1(self, capsys, monkeypatch):
         import tatemirror.fukaya as fukaya
         from tatemirror.errors import VerificationFailure

@@ -157,6 +157,9 @@ class TestQSeries:
         assert s.to_ring(QQ).to_ring(ZZ) == s
         assert s.to_ring(GF(5)) == QSeries.make(GF(5), 3, [3, 0, 2])
 
+    def test_repr_of_a_constant_term_and_a_skipped_zero(self):
+        assert repr(QSeries.make(ZZ, 3, [2, 0, -1])) == "(2 + -1*q^2 + O(q^3))"
+
 
 short_ints = st.integers(min_value=-40, max_value=40)
 

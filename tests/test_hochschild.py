@@ -339,6 +339,12 @@ class TestGradedRanks:
         want = hh.predicted_cusp_table(char, 8, -12)
         assert [got.row(n) for n in range(2, 9)] == [want.row(n) for n in range(2, 9)]
 
+    @pytest.mark.parametrize("char", CHARS)
+    def test_window_with_no_negative_weight(self, char):
+        # s_min = 0 is a window, the top weight only, not an empty one
+        cusp, _ = rings(char)
+        assert hh.cusp_graded_ranks(cusp, 8, 0) == hh.predicted_cusp_table(char, 8, 0)
+
     def test_node_rejected(self):
         _, node = rings(0)
         with pytest.raises(ValueError):

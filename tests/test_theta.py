@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import PerturbedTriangle
-from tatemirror import theta
-from tatemirror.errors import RingMismatchError
+from tatemirror import fukaya, theta
+from tatemirror.errors import InvariantError, RingMismatchError
 from tatemirror.exactnum import GF, QQ, ZZ, QSeries
 
 
@@ -116,8 +116,9 @@ class TestIntegerKernels:
     @given(degrees, rationals | st.integers(-20, 20), degrees, rationals | st.integers(-20, 20))
     def test_lambda_exp_equals_its_oracle(self, n1, p1, n2, p2):
         lam = theta.lambda_exp(n1, p1, n2, p2)
-        assert type(lam) is Fraction
-        assert lam == oracles.lambda_exp_reference(n1, p1, n2, p2)
+        expected = oracles.lambda_exp_reference(n1, p1, n2, p2)
+        assert type(lam) is (int if expected.denominator == 1 else Fraction)
+        assert lam == expected
 
     @settings(max_examples=300, deadline=None)
     @given(degrees, rationals, degrees, rationals, st.integers(0, 40))
@@ -154,6 +155,53 @@ class TestIntegerKernels:
             0: [0, 1, 0, 0, 0, 0, 0, 0, 0], 1: [0, 0, 0, 1, 0, 1, 0, 0, 0],
             2: [1, 0, 0, 0, 0, 0, 0, 0, 0], 3: [0, 0, 1, 0, 0, 0, 1, 0, 0],
             4: [0, 1, 0, 0, 0, 0, 0, 0, 0]}
+
+
+class TestIntegerResults:
+    """lambda_exp returns an int at every basis point, and the products build
+    their results without the constructor's checks, so each must equal itself
+    rebuilt through that constructor."""
+
+    def test_lambda_exp_is_an_int_on_the_acceptance_grid(self):
+        cap, kept = 12, 0
+        for n1 in range(1, cap):
+            for n2 in range(1, cap + 1 - n1):
+                for m1 in range(n1):
+                    for m2 in range(n2):
+                        p1, p2 = Fraction(m1, n1), Fraction(m2, n2)
+                        for j in theta.j_range(n1, p1, n2, p2, cap + 1):
+                            lam = theta.lambda_exp(n1, p1, n2, p2 + j)
+                            assert type(lam) is int, (n1, p1, n2, p2 + j)
+                            kept += lam <= cap
+        assert kept == 7435  # the shifts that verify-lattice checks
+
+    @pytest.mark.parametrize("bad", [Fraction(1, 2), -1])
+    def test_section_terms_reject_a_fractional_or_negative_exponent(self, bad, monkeypatch):
+        monkeypatch.setattr(theta, "lambda_exp", lambda *args: bad)
+        x = theta.ThetaElement.basis(1, 0, 3)
+        with pytest.raises(InvariantError, match=f"exponent {bad} at"):
+            theta.theta_mul(x, x)
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ, GF(5)], ids=repr)
+    @pytest.mark.parametrize("mul", [theta.theta_mul, fukaya.floer_mul],
+                             ids=["theta_mul", "floer_mul"])
+    def test_products_equal_their_checked_rebuild(self, mul, ring):
+        rng = random.Random(31)
+
+        def general(n, order):
+            return theta.ThetaElement(n, order, [
+                QSeries.make(ring, order, [rng.randint(-3, 3) for _ in range(order)])
+                for _ in range(n)])
+
+        for _ in range(30):
+            n1, n2, order = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 8)
+            basis = [theta.ThetaElement.basis(n, Fraction(rng.randrange(n), n), order, ring)
+                     for n in (n1, n2)]
+            for x, y in (basis, (general(n1, order), general(n2, order))):
+                assert x == theta.ThetaElement(x.degree, x.order, x.rows)
+                prod = mul(x, y)
+                assert prod == theta.ThetaElement(prod.degree, prod.order, prod.rows)
+                assert (prod.degree, prod.order, prod.ring) == (n1 + n2, order, ring)
 
 
 class TestCyclicPoint:
