@@ -423,10 +423,10 @@ def main(argv=None) -> int:
         return p
 
     p = command("verify-lattice", run_lattice_suite, "triangle-count identities")
-    p.add_argument("--max-degree", type=_int_at_least(0))
+    p.add_argument("--max-degree", type=_int_at_least(2))
     p = command("verify-theta", run_theta_suite, "Floer versus section-ring products")
     p.add_argument("--order", type=_int_at_least(1))
-    p.add_argument("--max-degree", type=_int_at_least(0))
+    p.add_argument("--max-degree", type=_int_at_least(2))
     p = command("mirror-map", run_mirror_suite, "recover the Tate curve coefficients")
     p.add_argument("--order", type=_int_at_least(1))
     p.add_argument("--emit-relation", action="store_true")

@@ -6,14 +6,15 @@ precision, rationals are ``fractions.Fraction``, prime-field elements are
 reduced residues.  No floats appear anywhere in the package.
 
 Every series that ``QSeries`` arithmetic returns is built by ``_series``,
-which stores the three slots without the frozen dataclass's ``__init__``.
+which stores the three slots without the frozen dataclass's ``__init__``;
+``_unchecked`` makes that builder, and ``theta._element`` for its element type.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .errors import NonUnitError, RingMismatchError
@@ -291,24 +292,32 @@ class QSeries:
         return f"({body} + O(q^{self.order}))"
 
 
-_new_series = functools.partial(object.__new__, QSeries)
-_set_ring, _set_order, _set_coeffs = (
-    QSeries.ring.__set__, QSeries.order.__set__, QSeries.coeffs.__set__)
+def _unchecked(cls):
+    """The builder of ``cls``, a frozen slotted dataclass of three fields.
 
-
-def _series(ring: Ring, order: int, coeffs: tuple) -> QSeries:
-    """The series ``QSeries(ring, order, coeffs)``, its slots stored directly.
-
-    The frozen dataclass ``__init__`` assigns each field through
-    ``object.__setattr__``; the slot descriptors do the same stores at a
-    fraction of the cost.  ``coeffs`` must be a tuple of exactly ``order``
-    raw coefficients of ``ring``, reduced, as every caller already builds.
+    The builder takes the three field values in order and stores them through
+    the slot descriptors, unchecked.  The frozen dataclass ``__init__`` assigns
+    each field through ``object.__setattr__`` (and runs any ``__post_init__``);
+    the slot descriptors do the same stores at a fraction of the cost.  Its
+    callers pass values that hold the class's invariants by construction.
     """
-    s = _new_series()
-    _set_ring(s, ring)
-    _set_order(s, order)
-    _set_coeffs(s, coeffs)
-    return s
+    new = functools.partial(object.__new__, cls)
+    set_a, set_b, set_c = (getattr(cls, field.name).__set__ for field in fields(cls))
+
+    def build(a, b, c):
+        obj = new()
+        set_a(obj, a)
+        set_b(obj, b)
+        set_c(obj, c)
+        return obj
+
+    return build
+
+
+# ``_series(ring, order, coeffs)`` is ``QSeries(ring, order, coeffs)``, its slots
+# stored directly.  ``coeffs`` must be a tuple of exactly ``order`` raw
+# coefficients of ``ring``, reduced, as every caller already builds.
+_series = _unchecked(QSeries)
 
 
 def divisor_power_sum(k: int, n: int) -> int:

@@ -14,7 +14,8 @@ evaluates ``lambda_exp`` once per slot pair and shift; the points it passes,
 the slots and their shifts p2 + j, come from the cache ``_slot_point``.
 ``bilinear`` stores the first term to reach a slot as it is and adds only the
 terms after it.  ``basis`` and ``bilinear`` build their results with
-``_element``, which skips the validation their rows satisfy by construction.
+``_element``, which skips the validation their rows satisfy by construction;
+it is ``exactnum._unchecked``'s builder, as ``exactnum._series`` is.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantError, RingMismatchError
-from .exactnum import ZZ, QSeries, Ring
+from .exactnum import ZZ, QSeries, Ring, _unchecked
 
 
 def weighted_mean(n1: int, p1, n2: int, p2) -> Fraction:
@@ -200,25 +201,11 @@ class ThetaElement:
         return _element(n3, order, tuple(out))
 
 
-_new_element = functools.partial(object.__new__, ThetaElement)
-_set_degree, _set_order, _set_rows = (
-    ThetaElement.degree.__set__, ThetaElement.order.__set__, ThetaElement.rows.__set__)
-
-
-def _element(degree: int, order: int, rows: tuple) -> ThetaElement:
-    """The element ``ThetaElement(degree, order, rows)``, its slots stored directly.
-
-    The frozen dataclass ``__init__`` assigns each field through
-    ``object.__setattr__`` and ``__post_init__`` scans the rows; the slot
-    descriptors store the three fields unchecked, as ``exactnum._series`` does
-    for a series.  ``rows`` must be a tuple of exactly ``degree`` >= 1 series
-    of order ``order`` over one ring, as every caller builds.
-    """
-    element = _new_element()
-    _set_degree(element, degree)
-    _set_order(element, order)
-    _set_rows(element, rows)
-    return element
+# ``_element(degree, order, rows)`` is ``ThetaElement(degree, order, rows)``, its
+# slots stored directly, with no ``__post_init__`` scan.  ``rows`` must be a
+# tuple of exactly ``degree`` >= 1 series of order ``order`` over one ring, as
+# every caller builds.
+_element = _unchecked(ThetaElement)
 
 
 def _kept_shifts(table: dict, key, order: int, shifts, exponent):
@@ -240,15 +227,14 @@ def _kept_shifts(table: dict, key, order: int, shifts, exponent):
     row = table.get(key)
     if row is None or row[0] < order:
         window = shifts(order)
-        if row is None:
-            exps = tuple(map(exponent, window))
-        else:
-            lo, hi = row[1], row[1] + len(row) - 3
-            if window.start > lo or window.stop <= hi:
-                raise InvariantError(
-                    f"shift window {window} does not contain [{lo}, {hi}] at {key}")
-            exps = (tuple(map(exponent, range(window.start, lo))) + row[2:]
-                    + tuple(map(exponent, range(hi + 1, window.stop))))
+        # a missing entry is the empty window at the new window's start
+        row = row or (0, window.start)
+        lo, hi = row[1], row[1] + len(row) - 3
+        if window.start > lo or window.stop <= hi:
+            raise InvariantError(
+                f"shift window {window} does not contain [{lo}, {hi}] at {key}")
+        exps = (tuple(map(exponent, range(window.start, lo))) + row[2:]
+                + tuple(map(exponent, range(hi + 1, window.stop))))
         row = table[key] = (order, window.start) + exps
     return [(j, e) for j, e in enumerate(row[2:], row[1]) if e < order]
 

@@ -27,8 +27,22 @@ COEFF_NAMES = ("a1", "a2", "a3", "a4", "a6")
 LIE_NAMES = ("ds", "dr", "dt", "du")
 
 
+class _SeriesRecord:
+    """A record whose fields are q-series, built from coefficient lists."""
+
+    @classmethod
+    def from_ints(cls, ring: Ring, values):
+        """One order-1 series per field, from its constant term."""
+        return cls.from_series(ring, 1, [[v] for v in values])
+
+    @classmethod
+    def from_series(cls, ring: Ring, order: int, coeff_lists):
+        """One series per field, coerced into ``ring`` and padded to ``order``."""
+        return cls(*(QSeries.make(ring, order, c) for c in coeff_lists))
+
+
 @dataclass(frozen=True)
-class WeierstrassCoeffs:
+class WeierstrassCoeffs(_SeriesRecord):
     """The five coefficients (a1, a2, a3, a4, a6), q-series of one order over one ring.
 
     A curve over the ring itself is the order-1 case.
@@ -53,15 +67,6 @@ class WeierstrassCoeffs:
     def ring(self) -> Ring:
         return self.a1.ring
 
-    @staticmethod
-    def from_ints(ring: Ring, values) -> "WeierstrassCoeffs":
-        return WeierstrassCoeffs.from_series(ring, 1, [[v] for v in values])
-
-    @staticmethod
-    def from_series(ring: Ring, order: int, coeff_lists) -> "WeierstrassCoeffs":
-        return WeierstrassCoeffs(
-            *(QSeries.make(ring, order, c) for c in coeff_lists))
-
     def to_ring(self, ring: Ring) -> "WeierstrassCoeffs":
         """Reduce or lift the coefficients into another ring."""
         return WeierstrassCoeffs(*(v.to_ring(ring) for v in self.as_tuple()))
@@ -71,22 +76,13 @@ class WeierstrassCoeffs:
 
 
 @dataclass(frozen=True)
-class Reparam:
+class Reparam(_SeriesRecord):
     """A coordinate change (u, s, r, t); u must be invertible."""
 
     u: QSeries
     s: QSeries
     r: QSeries
     t: QSeries
-
-    @staticmethod
-    def from_ints(ring: Ring, values) -> "Reparam":
-        return Reparam.from_series(ring, 1, [[v] for v in values])
-
-    @staticmethod
-    def from_series(ring: Ring, order: int, coeff_lists) -> "Reparam":
-        u, s, r, t = (QSeries.make(ring, order, c) for c in coeff_lists)
-        return Reparam(u, s, r, t)
 
     @staticmethod
     def identity_like(sample: QSeries) -> "Reparam":

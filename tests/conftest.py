@@ -1,5 +1,3 @@
-import os
-
 import pytest
 from hypothesis import Phase, settings
 
@@ -7,11 +5,10 @@ from tatemirror import fukaya, theta
 
 # The fault census (tools/faults.py) reads only whether a run fails and its
 # first failing test, so its runs skip the shrink phase: a failing example is
-# reported as first found.  Loaded here, before any test module applies its
-# own @settings, so those inherit it.
+# reported as first found.  Registered here, before any test module applies
+# its own @settings, so that ``--hypothesis-profile=no-shrink`` loads it and
+# those settings inherit it.
 settings.register_profile("no-shrink", phases=[p for p in Phase if p is not Phase.shrink])
-if os.environ.get("TATEMIRROR_NO_SHRINK"):
-    settings.load_profile("no-shrink")
 
 
 @pytest.fixture(autouse=True)

@@ -5,9 +5,10 @@
 Each fault is one exact text edit to a file under ``src/tatemirror``, planted
 once: ``src/``, ``tests/`` and ``pyproject.toml`` are copied to a temporary
 directory and the edit is applied there.  On that copy the tier-1 tests run
-with ``-x`` and without Hypothesis's shrink phase (``TATEMIRROR_NO_SHRINK``,
-read by ``tests/conftest.py``); the fault is killed when the run fails, and
-the first failing test is printed.  Each fault names the test that killed it
+with ``-x`` and without Hypothesis's shrink phase
+(``--hypothesis-profile=no-shrink``, a profile that ``tests/conftest.py``
+registers); the fault is killed when the run fails, and the first failing
+test is printed.  Each fault names the test that killed it
 in the last census, and that test runs first: when it fails, it is the
 printed failure and the full run is skipped; when it passes or is no longer
 found, the full ``-x`` run decides as before.  Then ``tatemirror all`` and
@@ -235,6 +236,16 @@ FAULTS = [
      "n_max < 0 or s_min > 0", "n_max < 0 or s_min >= 0",
      "tests/test_hochschild.py::TestGradedRanks::test_window_with_no_negative_weight",
      "never reached at the reports' parameters: both run the hochschild suite at s_min = -12"),
+    ("fields stored in reverse order by the unchecked builder", "exactnum.py",
+     "for field in fields(cls))", "for field in reversed(fields(cls)))",
+     "tests/test_acceptance.py::test_criterion_2_mirror_product_identity"),
+    ("from_series keeps only each field's constant term", "weierstrass.py",
+     "QSeries.make(ring, order, c) for c in coeff_lists",
+     "QSeries.make(ring, order, c[:1]) for c in coeff_lists",
+     "tests/test_acceptance.py::test_criterion_7_lie_bracket_layer"),
+    ("the Tjurina quotient basis read four weights past the reporting window", "hochschild.py",
+     "weight(m) <= self.report_weight", "weight(m) <= self.report_weight + 4",
+     "tests/test_acceptance.py::test_criterion_6_hochschild_tables"),
 ]
 
 
@@ -246,11 +257,8 @@ def _first_failure(output: str) -> str:
 
 
 def _env(tree: str) -> dict:
-    """The copy's source on the path; Hypothesis without its shrink phase
-    (``tests/conftest.py``), since only the verdict and the first failing test
-    are read."""
-    return dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
-                TATEMIRROR_NO_SHRINK="1")
+    """The copy's source on the path."""
+    return dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
 
 
 def run_fault(filename: str, old: str, new: str, killer: str):
@@ -274,8 +282,11 @@ def run_fault(filename: str, old: str, new: str, killer: str):
 def tier1(tree: str, killer: str) -> tuple:
     """Tier-1 with -x on the tree: ("killed", first failing test) or
     ("survived", ...).  ``killer`` runs alone first and settles the verdict
-    only when it fails (exit status 1); otherwise the full run decides."""
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+    only when it fails (exit status 1); otherwise the full run decides.
+    Hypothesis runs without its shrink phase, since only the verdict and the
+    first failing test are read."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+           "--hypothesis-profile=no-shrink"]
     for args, decides in (([killer], False), (["--continue-on-collection-errors"], True)):
         try:
             proc = subprocess.run(cmd + args, cwd=tree, env=_env(tree), capture_output=True,
