@@ -8,6 +8,8 @@ reduced residues.  No floats appear anywhere in the package.
 Every series that ``QSeries`` arithmetic returns is built by ``_series``,
 which stores the three slots without the frozen dataclass's ``__init__``;
 ``_unchecked`` makes that builder, and ``theta._element`` for its element type.
+A product with a monomial operand c*q^i, as every basis product has, is the
+other operand shifted by i and scaled by c: a slice, not a convolution.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import functools
 import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import NonUnitError, RingMismatchError
 
@@ -191,9 +194,13 @@ class QSeries:
         return _series(self.ring, self.order, tuple(coeffs))
 
     def __add__(self, other):
-        if isinstance(other, int) and not isinstance(other, bool):
-            other = QSeries.make(self.ring, self.order, [other])
-        self._check(other)
+        # one test passes every series sum that arithmetic makes; the int path
+        # and _check, with their errors, run only when it fails
+        if not (type(other) is QSeries and other.ring is self.ring
+                and other.order == self.order):
+            if isinstance(other, int) and not isinstance(other, bool):
+                other = QSeries.make(self.ring, self.order, [other])
+            self._check(other)
         return self._termwise(map(operator.add, self.coeffs, other.coeffs))
 
     __radd__ = __add__
@@ -206,23 +213,33 @@ class QSeries:
         return self._termwise(map(operator.neg, self.coeffs))
 
     def __mul__(self, other):
+        """The product mod q^order.  An operand with one nonzero term c*q^i
+        (a basis row is one) gives the other shifted by i and scaled by c:
+        one slice and one build, with no convolution loop."""
         if isinstance(other, int) and not isinstance(other, bool):
             c = self.ring.coerce(other)
             mul = self.ring.mul
             return _series(self.ring, self.order, tuple(mul(a, c) for a in self.coeffs))
         self._check(other)
-        k = self.order
+        ring, k = self.ring, self.order
         a, b = self.coeffs, other.coeffs
-        if a.count(0) < b.count(0):  # the loop skips the zeros of a
-            a, b = b, a
-        out = [self.ring.zero()] * k
+        zeros, b_zeros = a.count(0), b.count(0)
+        if zeros < b_zeros:  # the loop skips the zeros of a
+            a, b, zeros = b, a, b_zeros
+        if zeros == k - 1:
+            for i, c in enumerate(a):
+                if c:
+                    break
+            tail = b[:k - i] if c == 1 else tuple(map(ring.mul, b[:k - i], repeat(c)))
+            return _series(ring, k, QSeries.zero(ring, k).coeffs[:i] + tail)
+        out = [ring.zero()] * k
         for i, ai in enumerate(a):
             if ai:
-                for j in range(k - i):
-                    out[i + j] += ai * b[j]
-        if self.ring.kind == "GF":  # residues accumulate as integers, reduced once
-            out = [c % self.ring.p for c in out]
-        return _series(self.ring, self.order, tuple(out))
+                for j, bj in enumerate(b[:k - i], i):
+                    out[j] += ai * bj
+        if ring.kind == "GF":  # residues accumulate as integers, reduced once
+            out = [c % ring.p for c in out]
+        return _series(ring, k, tuple(out))
 
     __rmul__ = __mul__
 
@@ -232,9 +249,11 @@ class QSeries:
             raise ValueError("negative shifts leave the ring")
         if m == 0:
             return self
-        z = self.ring.zero()
-        coeffs = (z,) * min(m, self.order) + self.coeffs[: max(self.order - m, 0)]
-        return _series(self.ring, self.order, coeffs)
+        k = self.order
+        zero = QSeries.zero(self.ring, k)
+        if m >= k:
+            return zero
+        return _series(self.ring, k, zero.coeffs[:m] + self.coeffs[:k - m])
 
     def invert(self) -> "QSeries":
         """Multiplicative inverse mod q^order; the constant term must be a unit."""
@@ -269,6 +288,8 @@ class QSeries:
         return self.ring.is_unit(self.coeffs[0])
 
     def truncate(self, order: int) -> "QSeries":
+        if order < 1:
+            raise ValueError("truncation order must be >= 1")
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
         return _series(self.ring, order, self.coeffs[:order])

@@ -160,6 +160,56 @@ class TestQSeries:
     def test_repr_of_a_constant_term_and_a_skipped_zero(self):
         assert repr(QSeries.make(ZZ, 3, [2, 0, -1])) == "(2 + -1*q^2 + O(q^3))"
 
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_truncate_below_order_one_rejected(self, order):
+        with pytest.raises(ValueError, match=">= 1"):
+            zser([1, 2, 3, 4, 5]).truncate(order)
+
+    @pytest.mark.parametrize("other, error, message", [
+        (QSeries.make(QQ, 3, [1]), RingMismatchError, "ZZ vs QQ|QQ vs ZZ"),
+        (zser([1], 4), RingMismatchError, "orders differ: (3 vs 4|4 vs 3)"),
+        (True, TypeError, "expected QSeries, got True"),
+        (Fraction(1, 2), TypeError, "expected QSeries"),
+        (1.5, TypeError, "expected QSeries"),
+        ((1, 2, 3), TypeError, "expected QSeries"),
+    ], ids=["ring", "order", "bool", "fraction", "float", "tuple"])
+    def test_sum_with_a_foreign_operand_raises_on_either_side(self, other, error, message):
+        s = zser([1, 2, 3])
+        with pytest.raises(error, match=message):
+            s + other
+        with pytest.raises(error, match=message):
+            other + s
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ, GF(7)], ids=repr)
+    def test_int_plus_series(self, ring):
+        s = QSeries.make(ring, 3, [5, 1, 0])
+        want = QSeries.make(ring, 3, [15, 1, 0])
+        for got in (10 + s, s + 10):
+            assert got == want
+            assert [type(v) for v in got.coeffs] == [type(v) for v in want.coeffs]
+
+
+def _convolution(ring, order, x, y):
+    """The product mod q^order, by the convolution sum: the oracle."""
+    return QSeries.make(ring, order, [sum(x[i] * y[n - i] for i in range(n + 1))
+                                      for n in range(order)])
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(7)], ids=repr)
+@pytest.mark.parametrize("order", [1, 2, 5])
+def test_a_monomial_operand_multiplies_as_the_convolution(ring, order):
+    # c*q^i times a dense series, on either side, at the first and last i
+    dense = QSeries.make(ring, order, [Fraction((-1) ** n * (n + 2), n + 1) if ring is QQ
+                                       else (-1) ** n * (n + 2) for n in range(order)])
+    scales = [1, -1, 2] + ([ring.p - 1] if ring.kind == "GF" else [])
+    for i, c in itertools.product(sorted({0, order - 1}), scales):
+        mono = QSeries.make(ring, order, [0] * i + [c])
+        want = _convolution(ring, order, mono.coeffs, dense.coeffs)
+        for got in (mono * dense, dense * mono):
+            assert got == want and hash(got) == hash(want)
+            assert type(got.coeffs) is tuple
+            assert [type(v) for v in got.coeffs] == [type(v) for v in want.coeffs]
+
 
 short_ints = st.integers(min_value=-40, max_value=40)
 

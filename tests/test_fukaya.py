@@ -366,3 +366,11 @@ class TestGaugeFreeMirrorInvariants:
         delta_raw, c4_raw = weierstrass.discriminant(mirror.raw)
         delta, c4 = weierstrass.discriminant(mirror.curve)
         assert c4_raw * c4_raw * c4_raw * delta == c4 * c4 * c4 * delta_raw
+
+    def test_j_expansion_has_its_known_coefficients(self):
+        # q*j = 1 + 744q + 196884q^2 + ..., written out, so that no divisor sum
+        # is shared with E4 or E6: c4^3 = (Delta/q) * q*j through q^4
+        delta, c4 = weierstrass.discriminant(fukaya.seidel_mirror(8))
+        qj = QSeries.make(ZZ, 5, [1, 744, 196884, 21493760, 864299970])
+        assert delta.coeffs[0] == 0
+        assert (c4 * c4 * c4).truncate(5) == QSeries.make(ZZ, 5, delta.coeffs[1:6]) * qj
