@@ -25,6 +25,7 @@ dimension.  Each window forms its ring products m*f_x and m*f_y once.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
@@ -134,16 +135,18 @@ def _vector(index: dict, element) -> dict:
     return vec
 
 
-def _columns(ring: PlaneCurveRing, report_weight: int, k: int) -> list:
-    """Columns (side, mono) of R^k in the padded window, by descending weight."""
-    return [(side, m) for m in reversed(ring.monomials(report_weight + 4))
-            for side in range(k)]
+def _columns(ring: PlaneCurveRing, report_weight: int, k: int) -> dict:
+    """Column index {(side, mono): i} of R^k in the padded window, by descending weight."""
+    padded = reversed(ring.monomials(report_weight + 4))
+    return {c: i for i, c in enumerate((side, m) for m in padded for side in range(k))}
 
 
-def _multiples(ring: PlaneCurveRing, source) -> tuple:
-    """[m*f_x for m in source] and [m*f_y for m in source]: a window's ring products."""
+def _multiples(ring: PlaneCurveRing, source, index: dict) -> tuple:
+    """[m*f_x for m in source], [m*f_y for m in source] and the rows of both over
+    ``index``: a window's ring products, formed once."""
     fx, fy = ring.f_x(), ring.f_y()
-    return [ring.mul({m: 1}, fx) for m in source], [ring.mul({m: 1}, fy) for m in source]
+    mx, my = [ring.mul({m: 1}, fx) for m in source], [ring.mul({m: 1}, fy) for m in source]
+    return mx, my, [_vector(index, [prod]) for prod in mx + my]
 
 
 class _Span:
@@ -158,10 +161,9 @@ class _Span:
     def __init__(self, ring: PlaneCurveRing, report_weight: int):
         self.ring = ring
         self.report_weight = report_weight
-        self.columns = _columns(ring, report_weight, 1)
-        self.index = {c: i for i, c in enumerate(self.columns)}
-        mx, my = _multiples(ring, ring.monomials(report_weight))
-        rows = [_vector(self.index, [prod]) for prod in mx + my]
+        self.index = _columns(ring, report_weight, 1)
+        self.columns = list(self.index)
+        _, _, rows = _multiples(ring, ring.monomials(report_weight), self.index)
         self.rows, self.pivots = _linalg.echelon(rows, ring.field)
 
     def basis(self) -> list:
@@ -178,18 +180,25 @@ class _Span:
         return {self.columns[i][1]: red[i] for i in sorted(red)}
 
 
-def tjurina_dim(ring: PlaneCurveRing, bound: int = 10):
-    """Dimension and monomial basis of T = R/(f_x, f_y).
+def _stable(what: str, bound: int, at) -> tuple:
+    """(len(answer), answer) for answer = at(2*bound), the window's list.
 
-    Uses linear algebra on monomials up to weight 2*bound, checking that the
-    answer is unchanged at 2*bound + 4 (the bound-vs-bound+2 stabilization).
+    The stabilization rule: the answer at 2*bound + 4 has the same length, and
+    the answer is not empty (both curves are singular at the origin, so T and
+    the middle homology never vanish; an empty answer is a window too small).
     """
-    lo = _Span(ring, 2 * bound).basis()
-    hi = _Span(ring, 2 * bound + 4).basis()
+    lo, hi = at(2 * bound), at(2 * bound + 4)
     if len(lo) != len(hi):
-        raise StabilizationError(
-            f"Tjurina dimension moved from {len(lo)} to {len(hi)}; increase the bound")
+        raise StabilizationError(f"{what} moved from {len(lo)} to {len(hi)}; increase the bound")
+    if not lo:
+        raise StabilizationError(f"{what} is empty in the window {2 * bound}; increase the bound")
     return len(lo), lo
+
+
+def tjurina_dim(ring: PlaneCurveRing, bound: int = 10):
+    """Dimension and monomial basis of T = R/(f_x, f_y), from the window 2*bound
+    under the stabilization rule of ``_stable``."""
+    return _stable("Tjurina dimension", bound, lambda w: _Span(ring, w).basis())
 
 
 def _koszul_at(ring: PlaneCurveRing, report_weight: int) -> list:
@@ -206,15 +215,13 @@ def _koszul_at(ring: PlaneCurveRing, report_weight: int) -> list:
     homology in the window, with nothing left to subtract.
     """
     source = ring.monomials(report_weight)
-    mx, my = _multiples(ring, source)
+    mx, my, rows = _multiples(ring, source, _columns(ring, report_weight, 1))
     # kernel of (alpha1, alpha2) -> alpha1*f_x + alpha2*f_y on the window
     half = len(source)
-    index = {c: i for i, c in enumerate(_columns(ring, report_weight, 1))}
-    matrix = _linalg.transpose([_vector(index, [prod]) for prod in mx + my])
     kernel = [({source[i]: v for i, v in sorted(vec.items()) if i < half},
                {source[i - half]: v for i, v in sorted(vec.items()) if i >= half})
-              for vec in _linalg.kernel(matrix, ring.field, 2 * half)]
-    index = {c: i for i, c in enumerate(_columns(ring, report_weight, 2))}
+              for vec in _linalg.kernel(_linalg.transpose(rows), ring.field, 2 * half)]
+    index = _columns(ring, report_weight, 2)
     boundary = [_vector(index, [py, ring.scale(px, -1)]) for px, py in zip(mx, my)]
     stack = boundary + [_vector(index, pair) for pair in kernel]
     _, pivots = _linalg.echelon(_linalg.transpose(stack), ring.field)
@@ -223,17 +230,10 @@ def _koszul_at(ring: PlaneCurveRing, report_weight: int) -> list:
 
 def koszul_h1_dim(ring: PlaneCurveRing, bound: int = 10):
     """Dimension and generating pairs of ker[(a1,a2) -> a1*f_x + a2*f_y]
-    modulo R*(f_y, -f_x).
-
-    The pairs come from the window 2*bound, and their number is checked to be
-    unchanged at 2*bound + 4 (the same stabilization as tjurina_dim).
+    modulo R*(f_y, -f_x), from the window 2*bound under the stabilization rule
+    of ``_stable``, as for tjurina_dim.
     """
-    pairs = _koszul_at(ring, 2 * bound)
-    lo, hi = len(pairs), len(_koszul_at(ring, 2 * bound + 4))
-    if lo != hi:
-        raise StabilizationError(
-            f"middle homology moved from {lo} to {hi}; increase the bound")
-    return lo, pairs
+    return _stable("middle homology", bound, lambda w: _koszul_at(ring, w))
 
 
 def omega_pairing(ring: PlaneCurveRing, generators):
@@ -334,7 +334,7 @@ def _dga_matrix(ring: PlaneCurveRing, images: dict, n: int, s: int):
 def cusp_graded_ranks(ring: PlaneCurveRing, n_max: int, s_min: int) -> GradedRankTable:
     """Cohomology ranks of the resolution dga of the cusp, per bidegree.
 
-    Each d(n, s) is multiplied by the d(n-1, s) carried from the row before,
+    Each d(n, s) is multiplied by the d(n-1, s) carried from the degree before,
     and the table counts the nonzero entries of these composites as its
     ``square_defects``.  Only the cusp carries an internal grading; node
     input is rejected.
@@ -345,23 +345,26 @@ def cusp_graded_ranks(ring: PlaneCurveRing, n_max: int, s_min: int) -> GradedRan
         raise ValueError("empty window")
     field = ring.field
     images = _dga_images(ring)
-    ranks = {}
-    # s -> the differential into row n and its rank, carried from row n - 1
-    d_in, rank_in = {}, {}
-    defects = 0
-    for n in range(n_max + 1):
-        for s in range(s_min, 1):
+    ranks, defects = {}, 0
+    for s in range(s_min, 1):
+        d_in, rank_in = (), 0  # d(n-1, s), the differential into degree n, and its rank
+        for n in range(n_max + 1):
             d_out, src_dim = _dga_matrix(ring, images, n, s)
             rank_out = _linalg.rank(d_out, field)
-            h = src_dim - rank_out - rank_in.get(s, 0)
-            defects += sum(1 for row in d_out for col in zip(*d_in.get(s, ()))
+            h = src_dim - rank_out - rank_in
+            defects += sum(1 for row in d_out for col in zip(*d_in)
                            if field.coerce(sum(map(operator.mul, row, col))))
-            d_in[s], rank_in[s] = d_out, rank_out
+            d_in, rank_in = d_out, rank_out
             if h < 0:
                 raise VerificationFailure(f"negative rank at bucket ({n}, {s})")
             if h:
                 ranks[(n, s)] = h
     return GradedRankTable(n_max, s_min, ranks, defects)
+
+
+# characteristic -> (weights of a basis of T, internal degree s_gamma of gamma)
+# where they differ from the default in predicted_cusp_table
+_CUSP_SPECIAL = {2: ((0, 2, 3, 5), -3), 3: ((0, 2, 4), -2)}
 
 
 def predicted_cusp_table(char: int, n_max: int, s_min: int) -> GradedRankTable:
@@ -370,25 +373,9 @@ def predicted_cusp_table(char: int, n_max: int, s_min: int) -> GradedRankTable:
     T is spanned by 1, x (any characteristic away from 2 and 3), by
     1, x, x^2 in characteristic 3, and by 1, x, y, xy in characteristic 2;
     beta has bidegree (2, -6) and gamma bidegree (1, s_gamma) with s_gamma
-    equal to 0, -2, -3 in the respective cases.
+    equal to 0, -2, -3 in the respective cases: the table ``_CUSP_SPECIAL``.
     """
-    if char == 2:
-        t_weights = [0, 2, 3, 5]
-        s_gamma = -3
-    elif char == 3:
-        t_weights = [0, 2, 4]
-        s_gamma = -2
-    else:
-        t_weights = [0, 2]
-        s_gamma = 0
-    ranks = {}
-    for k in range(n_max // 2 + 1):
-        for e in (0, 1):
-            n = 2 * k + e
-            if n > n_max:
-                continue
-            for wt in t_weights:
-                s = wt - 6 * k + e * s_gamma
-                if s_min <= s <= 0:
-                    ranks[(n, s)] = ranks.get((n, s), 0) + 1
-    return GradedRankTable(n_max, s_min, ranks)
+    t_weights, s_gamma = _CUSP_SPECIAL.get(char, ((0, 2), 0))
+    ranks = Counter((n, s) for n in range(n_max + 1) for wt in t_weights
+                    if s_min <= (s := wt - 6 * (n // 2) + n % 2 * s_gamma) <= 0)
+    return GradedRankTable(n_max, s_min, dict(ranks))

@@ -72,6 +72,8 @@ def j_window(n1: int, n2: int, order: int) -> int:
     n1*n2*(J-1)^2 > 2*(n1+n2)*(order + n1 + n2) is safely past the cutoff;
     the smallest such J is isqrt of the floored quotient, plus 2.
     """
+    if n1 < 1 or n2 < 1:
+        raise ValueError("degrees must be positive")
     n3 = n1 + n2
     return math.isqrt(2 * n3 * (order + n3) // (n1 * n2)) + 2
 

@@ -152,6 +152,37 @@ class TestTjurina:
             hh.koszul_h1_dim(cusp, bound=0)
 
 
+class TestStabilizationRule:
+    # the dimensions of T and of the middle homology, per characteristic:
+    # (cusp, node)
+    DIMS = {0: (2, 1), 2: (4, 1), 3: (3, 1), 5: (2, 1)}
+
+    @pytest.mark.parametrize("char", CHARS)
+    def test_small_windows_answer_right_or_raise(self, char):
+        # at bounds -3 to 2 a window may be too small, empty or not yet stable:
+        # every call that returns gives the true dimension, and the rest raise
+        from tatemirror.errors import StabilizationError
+        for ring, want in zip(rings(char), self.DIMS[char]):
+            for find in (hh.tjurina_dim, hh.koszul_h1_dim):
+                for bound in range(-3, 3):
+                    try:
+                        got, answer = find(ring, bound)
+                    except StabilizationError:
+                        continue
+                    assert (got, len(answer)) == (want, want), (find.__name__, ring, bound)
+
+    @pytest.mark.parametrize("char", (0, 2, 5, 7))
+    def test_empty_answer_raises(self, char):
+        # the node's windows 0 and 4 hold no generator of the middle homology:
+        # both counts are 0, and equal
+        from tatemirror.errors import StabilizationError
+        _, node = rings(char)
+        with pytest.raises(StabilizationError, match="middle homology is empty"):
+            hh.koszul_h1_dim(node, bound=0)
+        with pytest.raises(StabilizationError, match="is empty in the window -6"):
+            hh.tjurina_dim(node, bound=-3)
+
+
 class TestKoszulMiddle:
     @pytest.mark.parametrize("char", CHARS)
     def test_matches_tjurina_dimension(self, char):

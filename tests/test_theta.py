@@ -142,6 +142,15 @@ class TestIntegerKernels:
                 for order in range(101):
                     assert theta.j_window(n1, n2, order) == searched(n1, n2, order)
 
+    @pytest.mark.parametrize("n1, n2", [(0, 1), (1, 0), (-1, 2), (2, -1), (0, 0)])
+    def test_nonpositive_degree_is_the_kernels_value_error(self, n1, n2):
+        # j_range reaches its degrees through j_window; both raise as lambda_exp does
+        for call in (lambda: theta.j_window(n1, n2, 5),
+                     lambda: theta.j_range(n1, Fraction(0), n2, Fraction(0), 5),
+                     lambda: theta.lambda_exp(n1, Fraction(0), n2, Fraction(0))):
+            with pytest.raises(ValueError, match="degrees must be positive"):
+                call()
+
     def test_kernels_share_no_code_with_the_oracle(self):
         cases = [(3, Fraction(1, 3), 5, Fraction(-7, 5)), (2, Fraction(1, 7), 3, Fraction(5, 4)),
                  (1, 0, 1, 3), (4, Fraction(-9, 4), 1, Fraction(2, 3))]

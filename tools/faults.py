@@ -18,10 +18,12 @@ silent when both reports pass.  A fault may carry a one-line reason why no
 report should see it.
 
 The census first runs both reports on the working tree and prints any record
-that fails there; it ends with the records that no fault fails and, on its
-last line, its own wall time.  The exit status is 1 if a fault survives
-tier-1, an edit no longer applies, or a fault is silent without a reason or
-fails a record despite one; else 0.  Standard library only; the working tree
+that fails there; it ends with the records that no fault fails, each with its
+reason from ``RECORD_REASONS``, and, on its last line, its own wall time.  The
+exit status is 1 if a fault survives tier-1, an edit no longer applies, a
+fault is silent without a reason or fails a record despite one, a record that
+no fault fails has no reason, or a record with a reason is failed by a fault
+or held by no report; else 0.  Standard library only; the working tree
 is never modified.
 """
 
@@ -160,10 +162,24 @@ FAULTS = [
      "if num % 3 or tnum % 2:", "if tnum % 2:",
      "tests/test_weierstrass.py::TestTateNormalize::test_nodal_fiber_without_integral_lift[values1]",
      "the mirror's raw curve always satisfies it"),
-    ("Koszul stabilization check dropped", "hochschild.py",
-     "if lo != hi:", "if False:",
+    ("stabilization check dropped: _stable's length comparison", "hochschild.py",
+     "if len(lo) != len(hi):", "if False:",
      "tests/test_hochschild.py::TestTjurina::test_undersized_window_raises",
      "it never fires at the reports' bounds"),
+    ("empty-answer test dropped from _stable", "hochschild.py",
+     "if not lo:", "if False:",
+     "tests/test_hochschild.py::TestStabilizationRule::test_small_windows_answer_right_or_raise[0]",
+     "the reports' windows are never empty"),
+    ("T loses x in the default entry of the closed-form cusp table", "hochschild.py",
+     "((0, 2), 0)", "((0,), 0)",
+     "tests/test_hochschild.py::TestGradedRanks::test_full_window_matches_prediction[0]"),
+    ("T loses xy in char 2's entry of the closed-form cusp table", "hochschild.py",
+     "((0, 2, 3, 5), -3)", "((0, 2, 3), -3)",
+     "tests/test_hochschild.py::TestGradedRanks::test_full_window_matches_prediction[2]"),
+    ("gamma's internal degree -2 -> -3 in char 3's entry of the closed-form cusp table",
+     "hochschild.py",
+     "((0, 2, 4), -2)", "((0, 2, 4), -3)",
+     "tests/test_hochschild.py::TestGradedRanks::test_full_window_matches_prediction[3]"),
     ("top weight dropped from monomials", "hochschild.py",
      "range(max_weight + 1)", "range(max_weight)",
      "tests/test_hochschild.py::TestMonomials::test_one_per_weight_equals_the_sorted_candidates",
@@ -261,7 +277,47 @@ FAULTS = [
     ("a1*g1 for a1*g2 in omega_pairing", "hochschild.py",
      "ring.mul(a1, g2)", "ring.mul(a1, g1)",
      "tests/test_hochschild.py::TestOmegaPairing::test_vanishes_for_both_curves[3]"),
+    ("a2*g2 for a2*g1 in omega_pairing", "hochschild.py",
+     "ring.mul(a2, g1)", "ring.mul(a2, g2)",
+     "tests/test_hochschild.py::TestOmegaPairing::test_vanishes_for_both_curves[2]"),
+    ("the last boundary multiple counted among the middle homology's generators",
+     "hochschild.py",
+     "for c in pivots if c >= half]", "for c in pivots if c >= half - 1]",
+     "tests/test_hochschild.py::TestKoszulMiddle::test_matches_tjurina_dimension[0]"),
 ]
+
+# check record -> why no fault fails it; each record that no fault fails needs
+# one, and a record that a fault fails must not have one
+_SKEW_ZERO = ("every product of two generator components already reduces to zero"
+              " mod (f_x, f_y), so no recombination of them in omega_pairing can fail it")
+_CHAR2_SIGN = "-1 = 1 at char 2, so each planted sign fault is the identity there"
+_SHAPE = ("restates the shape that the Tate normal form imposes on the construction,"
+          " not evidence of the mirror (ROADMAP item 9)")
+RECORD_REASONS = {
+    **{f"verify-theta/mirror-product-{n}-1":
+       "n2 = 1: the Floer key fault (j * d2 -> j) is the identity there, and every other"
+       " planted shared-machinery fault moves both rings alike (ROADMAP item 5)"
+       for n in range(1, 12)},
+    "dehn-table/z'*zeta0 = eta0 + eta1 + eta2":
+        "its answer is 1 in each of the three degree-3 slots: the target-slot fault"
+        " (n1 for n2) permutes its three q^0 terms among them, and no other planted fault moves them",
+    "dehn-table/z'^2 matches section ring":
+        "the q^0 part of verify-theta/mirror-product-1-1, which no fault fails either",
+    **{f"mirror-map/{record}": _SHAPE
+       for record in ("central-fiber", "coefficient-a1", "coefficient-a2", "coefficient-a3",
+                      "coefficient-a4", "relation-unimodular")},
+    **{f"hochschild[char={char}]/node-tjurina-dim":
+       "the node's T is K at every char; the basis read past the window moves it only where"
+       " a padding column keeps no pivot, which f_x's x^2 term rules out away from char 3"
+       for char in (0, 2)},
+    **{f"hochschild[char={char}]/cusp-skew-pairing": _SKEW_ZERO for char in (0, 5)},
+    **{f"hochschild[char={char}]/node-skew-pairing": _SKEW_ZERO for char in (0, 2, 3, 5)},
+    **{f"hochschild[char=2]/{record}": _CHAR2_SIGN
+       for record in ("cusp-curve-relation", "node-curve-relation", "dga-is-a-complex")},
+    "hochschild[char=3]/dga-is-a-complex":
+        "the cusp's f_x = -3x^2 is 0 at char 3, so d(x*) = 0 and d(x*y*) has no y* part:"
+        " d*d vanishes whatever the x*y* image holds, where the one dga fault lies",
+}
 
 
 def _first_failure(output: str) -> str:
@@ -366,7 +422,12 @@ def census() -> int:
     unfailed = [r for r in clean if r not in failed]
     print(f"{len(unfailed)} of {len(clean)} records are failed by no fault:")
     for record in unfailed:
-        print(f"  {record}")
+        print(f"  {record} (reason: {RECORD_REASONS.get(record, 'none')})")
+    for record in sorted(RECORD_REASONS.keys() & failed):
+        print(f"failed by a fault despite its reason: {record}")
+    for record in sorted(RECORD_REASONS.keys() - clean.keys()):
+        print(f"stale reason: no report holds {record}")
+    bad += sum(r not in RECORD_REASONS for r in unfailed) + len(RECORD_REASONS.keys() - unfailed)
     print(f"census took {time.perf_counter() - start_all:.0f} s")
     return 1 if bad else 0
 
