@@ -127,6 +127,8 @@ QQ = Ring("QQ")
 
 @functools.cache
 def GF(p: int, /) -> Ring:
+    if type(p) is not int:  # 3.0 or Fraction(3) would be a second ring for F_3
+        raise TypeError(f"GF needs an int prime, got {p!r}")
     if p >= _PRIME_BOUND:
         raise ValueError(f"{p} is past the primality bound {_PRIME_BOUND}")
     if not _is_prime(p):

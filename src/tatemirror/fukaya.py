@@ -205,6 +205,36 @@ def relation_certificate():
     return abs(minors[0]), math.gcd(*minors)
 
 
+def _packed_residuals(series, monos, order: int):
+    """Per slot, the residual sum_i series[i] * monos[i].rows[slot] packed at
+    q = 2**B, mod 2**(B * order): one big-integer product per monomial and slot.
+
+    B = bitlen(max|c|) + bitlen(max|m|) + bitlen(7 * order) + 1 over the
+    coefficients c of ``series`` and m of the slot series.  Lemma: every
+    residual coefficient r_n with n < order is a sum of at most 7 * order
+    products c * m, so |r_n| < 2**(B - 1), and the packed value is 0 exactly
+    when r_0 = ... = r_(order-1) = 0.  By induction on n: r_n is the packed
+    value mod 2**B, read in (-2**(B - 1), 2**(B - 1)); once it is 0, divide by
+    2**B.  Terms at or above the order only add multiples of 2**(B * order).
+    """
+    coeffs = [s.coeffs for s in series]
+    slots = [[row.coeffs for row in m.rows] for m in monos]
+    bits = (max(abs(c) for cs in coeffs for c in cs).bit_length()
+            + max(abs(c) for rows in slots for cs in rows for c in cs).bit_length()
+            + (7 * order).bit_length() + 1)
+
+    def pack(cs):
+        out = 0
+        for c in reversed(cs):
+            out = (out << bits) + c
+        return out
+
+    mask = (1 << bits * order) - 1
+    packed = [pack(cs) for cs in coeffs]
+    return [sum(p * pack(rows[slot]) for p, rows in zip(packed, slots)) & mask
+            for slot in range(len(slots[0]))]
+
+
 def relation_kernel(order: int):
     """Coefficients (c1..c7) of the unique relation among the seven
     degree-6 monomials, normalized so the y'^2 coefficient is 1.
@@ -212,14 +242,13 @@ def relation_kernel(order: int):
     At q = 0 the relation space must be one-dimensional and involve y'^2.
     The 6x6 block of the q = 0 matrix without the y'^2 column is then
     inverted once over QQ; its inverse must be integral (determinant +-1),
-    so every q-order is one integer matrix-vector product and the relation
-    is integral by construction.  Returns a list of seven integer q-series.
+    so every q-order is six integer dot products and one product with the
+    inverse, and the relation is integral by construction.  The residual is
+    checked by ``_packed_residuals``.  Returns a list of seven integer q-series.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     monos = _degree_six_monomials(order)
-    # backwards[row][col]: the q-coefficients of monomial row in slot col, reversed
-    backwards = [[slot.coeffs[::-1] for slot in m.rows] for m in monos]
 
     m0t = _q0_matrix(monos)
     kernel = nullspace(m0t, QQ)
@@ -236,28 +265,24 @@ def relation_kernel(order: int):
             "q=0 block without y'^2 is not unimodular; the relation is not integral")
     inverse = [[int(v) for v in row] for row in inverse]
 
-    # found[row]: the relation's q-coefficients at monomial row, q^0 up; the
-    # q^m coefficient of found[row] times a slot series is one dot product of
-    # found[row] with that series' q^m, ..., q^0 coefficients
-    found = [[] for _ in range(7)]
+    # y'^2 is fixed at 1; found[6*t + k] is the q^t coefficient of monomial
+    # k + 1, and cols[col][6*u + k] that monomial's q^(order-1-u) coefficient
+    # in slot col, so slot col's q^m coefficient is one dot product
+    y2 = [row.coeffs for row in monos[0].rows]
+    cols = [[c for cs in zip(*(m.rows[col].coeffs[::-1] for m in monos[1:])) for c in cs]
+            for col in range(6)]
+    found = []
     for m in range(order):
-        found[0].append(int(m == 0))  # y'^2 fixed at 1; the rest still unknown
-        start = order - 1 - m
-        rhs = [-sum(sum(map(operator.mul, found[row], backwards[row][col][start:]))
-                    for row in range(7))
+        start = 6 * (order - 1 - m)
+        rhs = [-y2[col][m] - sum(map(operator.mul, found, cols[col][start:]))
                for col in range(6)]
-        for row, brow in enumerate(inverse, 1):
-            found[row].append(sum(map(operator.mul, brow, rhs)))
+        found.extend(sum(map(operator.mul, brow, rhs)) for brow in inverse)
 
-    series = [QSeries.make(ZZ, order, coeffs) for coeffs in found]
-
-    # residual must vanish identically below the truncation order
-    for m in range(6):
-        total = QSeries.zero(ZZ, order)
-        for i in range(7):
-            total = total + series[i] * monos[i].rows[m]
-        if not total.is_zero():
-            raise VerificationFailure(f"relation residual nonzero in slot [{m}/6]")
+    series = [QSeries.one(ZZ, order)] + [QSeries.make(ZZ, order, found[k::6])
+                                         for k in range(6)]
+    for slot, residual in enumerate(_packed_residuals(series, monos, order)):
+        if residual:
+            raise VerificationFailure(f"relation residual nonzero in slot [{slot}/6]")
     return series
 
 

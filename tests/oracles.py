@@ -1,7 +1,7 @@
 """Slow reference oracles that the tests hold the package's kernels against.
 
 Each oracle computes the same quantity as a kernel under ``src/tatemirror``
-by a separate, more literal route, and shares no code with it:
+by a separate, more literal route, and shares no code with the part under test:
 
 - ``psi``, ``phi``, ``lambda_exp_reference`` and ``area``: the Fraction
   formulas behind ``theta.lambda_exp``, the section ring's q-exponent;
@@ -11,7 +11,13 @@ by a separate, more literal route, and shares no code with it:
 - ``singular_points_mod_p``: a scan of F_p^2, behind
   ``weierstrass.classify_fiber``;
 - ``echelon_reference``: dense Gauss-Jordan elimination, column by column
-  over list rows, behind ``_linalg.echelon``'s sparse rows.
+  over list rows, behind ``_linalg.echelon``'s sparse rows;
+- ``relation_kernel_reference`` and ``dense_residuals``: the degree-6
+  relation solved row by row, one dot product per monomial, slot and q-order,
+  and its residual formed by dense ``QSeries`` products, behind
+  ``fukaya.relation_kernel``'s interleaved solve and packed residual test.
+  It takes the monomials and the q = 0 inverse from ``fukaya``: only the two
+  loops are under test.
 
 No module of the package imports this one, and no report or benchmark runs it.
 """
@@ -19,11 +25,15 @@ No module of the package imports this one, and no report or benchmark runs it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd, lcm
 
+from tatemirror import fukaya
+from tatemirror.errors import VerificationFailure
+from tatemirror.exactnum import QQ, ZZ, QSeries
 from tatemirror.theta import weighted_mean
 from tatemirror.weierstrass import WeierstrassCoeffs
 
@@ -249,3 +259,53 @@ def echelon_reference(rows, ring):
                         else _primitive([a * x - b * y for x, y in zip(row, prow)]))
         pivots.append(c)
     return m[: len(pivots)], pivots
+
+
+# -- the degree-6 relation, row by row ---------------------------------------
+
+def dense_residuals(series, monos, order: int):
+    """Per slot, the residual sum_i series[i] * monos[i].rows[slot] as one
+    dense ``QSeries`` of the given order."""
+    out = []
+    for m in range(len(monos[0].rows)):
+        total = QSeries.zero(series[0].ring, order)
+        for i in range(len(series)):
+            total = total + series[i] * monos[i].rows[m]
+        out.append(total)
+    return out
+
+
+def relation_kernel_reference(order: int):
+    """``fukaya.relation_kernel`` by the row-by-row loop: each q-order is one
+    dot product per monomial and slot against that slot's reversed
+    coefficients, and the residual is checked by dense series products."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    monos = fukaya._degree_six_monomials(order)
+    # backwards[row][col]: the q-coefficients of monomial row in slot col, reversed
+    backwards = [[slot.coeffs[::-1] for slot in m.rows] for m in monos]
+
+    m0t = fukaya._q0_matrix(monos)
+    block = [row[1:] for row in m0t]
+    inverse = fukaya.transpose([fukaya.solve_right(block, [int(i == k) for i in range(6)], QQ)
+                                for k in range(6)])
+    if any(v.denominator != 1 for row in inverse for v in row):
+        raise VerificationFailure(
+            "q=0 block without y'^2 is not unimodular; the relation is not integral")
+    inverse = [[int(v) for v in row] for row in inverse]
+
+    found = [[] for _ in range(7)]
+    for m in range(order):
+        found[0].append(int(m == 0))  # y'^2 fixed at 1; the rest still unknown
+        start = order - 1 - m
+        rhs = [-sum(sum(map(operator.mul, found[row], backwards[row][col][start:]))
+                    for row in range(7))
+               for col in range(6)]
+        for row, brow in enumerate(inverse, 1):
+            found[row].append(sum(map(operator.mul, brow, rhs)))
+
+    series = [QSeries.make(ZZ, order, coeffs) for coeffs in found]
+    for m, total in enumerate(dense_residuals(series, monos, order)):
+        if not total.is_zero():
+            raise VerificationFailure(f"relation residual nonzero in slot [{m}/6]")
+    return series

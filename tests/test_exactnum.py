@@ -41,6 +41,13 @@ class TestScalar:
         with pytest.raises(TypeError):
             GF(p=7)  # a keyword call would be a second cache key, so a second ring
 
+    @pytest.mark.parametrize("p", [3.0, 43.0, Fraction(5), True], ids=repr)
+    def test_a_prime_that_is_not_an_int_is_rejected(self, p):
+        assert GF(3) is GF(3)
+        with pytest.raises(TypeError, match="GF needs an int prime"):
+            GF(p)  # a float or Fraction would be a second ring for the same field
+        assert GF(3) is GF(3)
+
     def test_arithmetic_tags(self):
         a = scalar(ZZ, 5)
         b = scalar(ZZ, -3)

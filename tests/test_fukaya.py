@@ -2,7 +2,10 @@ import math
 import random
 from fractions import Fraction
 
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tatemirror import cli, fukaya, lattice, theta, weierstrass
 from tatemirror.errors import VerificationFailure
@@ -274,6 +277,95 @@ class TestRelationKernel:
             for s, m in zip(series, monos):
                 total = total + s * m.coeffs[pt].to_ring(series[0].ring)
             assert total.is_zero()
+
+    @pytest.mark.parametrize("order", [*range(1, 25), 64])
+    def test_equals_the_row_by_row_oracle(self, order):
+        assert fukaya.relation_kernel(order) == oracles.relation_kernel_reference(order)
+
+    def test_a_nonzero_residual_names_its_slot(self, monkeypatch):
+        monkeypatch.setattr(fukaya, "_packed_residuals", lambda *args: [0, 0, 5, 0, 0, 0])
+        with pytest.raises(VerificationFailure, match=r"residual nonzero in slot \[2/6\]"):
+            fukaya.relation_kernel(4)
+
+
+def _slots(order, rows):
+    """A FloerElement with the given integer slot rows, as ``_packed_residuals``
+    reads the degree-6 monomials."""
+    return fukaya.FloerElement(len(rows), order, [QSeries.make(ZZ, order, r) for r in rows])
+
+
+def _packed_and_dense(series, rows_by_monomial, order):
+    series = [QSeries.make(ZZ, order, s) for s in series]
+    monos = [_slots(order, rows) for rows in rows_by_monomial]
+    return (fukaya._packed_residuals(series, monos, order),
+            oracles.dense_residuals(series, monos, order))
+
+
+_BIG = st.integers(-2 ** 80, 2 ** 80)
+
+
+@st.composite
+def residual_cases(draw):
+    """Seven series and seven monomials over one to three slots.  Either the
+    monomials are drawn freely, or they cancel in pairs (c0*c1*w - c1*c0*w in
+    each slot) and then one coefficient is bumped, so zero residuals, residuals
+    nonzero in one coefficient and large terms above the order all occur."""
+    order = draw(st.integers(1, 12))
+    nslots = draw(st.integers(1, 3))
+    series = [draw(st.lists(_BIG, min_size=order, max_size=order)) for _ in range(7)]
+    if draw(st.booleans()):
+        rows = [[draw(st.lists(_BIG, min_size=order, max_size=order)) for _ in range(nslots)]
+                for _ in range(7)]
+        return series, rows, order
+
+    def product(a, b):
+        return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(order)]
+
+    rows = [[[0] * order for _ in range(nslots)] for _ in range(7)]
+    for i in (0, 2, 4):
+        for slot in range(nslots):
+            w = draw(st.lists(_BIG, min_size=order, max_size=order))
+            rows[i][slot] = product(series[i + 1], w)
+            rows[i + 1][slot] = [-c for c in product(series[i], w)]
+    mono = draw(st.integers(0, 6))
+    slot = draw(st.integers(0, nslots - 1))
+    n = draw(st.integers(0, order - 1))
+    rows[mono][slot][n] += draw(st.sampled_from([0, 1, -1]) | _BIG)
+    return series, rows, order
+
+
+class TestPackedResiduals:
+    @settings(max_examples=200, deadline=None)
+    @given(residual_cases())
+    def test_zero_exactly_when_the_dense_residual_is_zero(self, case):
+        packed, dense = _packed_and_dense(*case)
+        assert [r == 0 for r in packed] == [r.is_zero() for r in dense]
+
+    def test_a_residual_only_at_the_last_q_power(self):
+        # c0 = 1 and a slot series 5*q^3: the residual is 5*q^3 at order 4
+        packed, dense = _packed_and_dense([[1, 0, 0, 0]] + [[0] * 4] * 6,
+                                          [[[0, 0, 0, 5]]] + [[[0] * 4]] * 6, 4)
+        assert dense[0].coeffs == (0, 0, 0, 5)
+        assert packed[0] != 0
+
+    def test_a_residual_that_a_narrower_word_would_wrap_to_zero(self):
+        # max|c| = 7 and max|m| = 1 give B' = 3 + 1 + 1 = 5 without the
+        # bitlen(7 * order) term; r0 = 7+7+7+7+4 = 2**5 and r1 = -1 pack to
+        # 2**5 - 2**5 = 0 at B', so only the full B tells them apart
+        series = [[7, -1], [7, 0], [7, 0], [7, 0], [4, 0], [0, 0], [0, 0]]
+        packed, dense = _packed_and_dense(series, [[[1, 0]]] * 7, 2)
+        assert dense[0].coeffs == (2 ** 5, -1)
+        assert packed[0] != 0
+
+    def test_large_terms_above_the_order_are_ignored(self):
+        # every product term lands at q^3 or higher, and they do not cancel there
+        big = 2 ** 80
+        series = [[0, 0, big], [0, 0, -big], [0, 0, 1]] + [[0] * 3] * 4
+        rows = [[[0, 0, big], [0, 1, 0]], [[0, 0, 3], [0, 0, big]],
+                [[0, big, 0], [0, 0, -1]]] + [[[0] * 3] * 2] * 4
+        packed, dense = _packed_and_dense(series, rows, 3)
+        assert all(r.is_zero() for r in dense)
+        assert packed == [0, 0]
 
 
 class TestRelationCrossRoute:

@@ -284,6 +284,25 @@ FAULTS = [
      "hochschild.py",
      "for c in pivots if c >= half]", "for c in pivots if c >= half - 1]",
      "tests/test_hochschild.py::TestKoszulMiddle::test_matches_tjurina_dimension[0]"),
+    ("bitlen(7 * order) dropped from the packed residual's word", "fukaya.py",
+     "+ (7 * order).bit_length() + 1)", "+ 1)",
+     "tests/test_fukaya.py::TestPackedResiduals::"
+     "test_a_residual_that_a_narrower_word_would_wrap_to_zero",
+     "a correct solve leaves a zero residual on every report, and zero packs to zero at any"
+     " word and mask"),
+    ("the packed residual's mask one q-power short", "fukaya.py",
+     "(1 << bits * order) - 1", "(1 << bits * (order - 1)) - 1",
+     "tests/test_fukaya.py::TestPackedResiduals::test_a_residual_only_at_the_last_q_power",
+     "a correct solve leaves a zero residual on every report, and zero packs to zero at any"
+     " word and mask"),
+    ("the relation solve reads one q-power late", "fukaya.py",
+     "start = 6 * (order - 1 - m)", "start = 6 * (order - m)",
+     "tests/test_fukaya.py::TestRelationKernel::test_equals_the_row_by_row_oracle[2]"),
+    ("int check dropped from GF", "exactnum.py",
+     "    if type(p) is not int:  # 3.0 or Fraction(3) would be a second ring for F_3\n"
+     "        raise TypeError(f\"GF needs an int prime, got {p!r}\")\n", "",
+     "tests/test_exactnum.py::TestScalar::test_a_prime_that_is_not_an_int_is_rejected[3.0]",
+     "the CLI parses --char as an int"),
 ]
 
 # check record -> why no fault fails it; each record that no fault fails needs
